@@ -10,8 +10,6 @@ from .losses import (
     make_onebit_loss,
     onebit_rho2,
     estimate_rho1,
-    save_loss,
-    load_loss,
 )
 from .factored import (
     g_value,
@@ -41,7 +39,6 @@ from .solver import (
     Trace,
     gradient_descent,
     perturbed_gd,
-    check_second_order,
 )
 from .certify import (
     CertificateReport,
@@ -53,7 +50,6 @@ from .certify import (
     pl_dual_bound,
     saddle_eta0,
     normcompare_check,
-    psd_split,
     run_certificate_suites,
 )
 from .cli import ExperimentConfig, build_instance, run_experiment
@@ -63,7 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LinearOperator", "LinearLoss", "OneBitLoss", "ScaledLoss",
     "RecoveryProblem", "make_gaussian_operator", "make_onebit_loss",
-    "onebit_rho2", "estimate_rho1", "save_loss", "load_loss",
+    "onebit_rho2", "estimate_rho1",
     "g_value", "g_grad", "g_value_and_grad", "g_hess_form",
     "g_hess_min_eig", "hess_matrix", "LiftedLoss", "lift_asymmetric",
     "balance_and_augment",
@@ -71,9 +67,8 @@ __all__ = [
     "local_region_sym", "local_region_asym", "max_step_sym",
     "max_step_asym", "prior_radii",
     "PgdParams", "pgd_params", "Trace", "gradient_descent", "perturbed_gd",
-    "check_second_order",
     "CertificateReport", "x_operator", "mean_hessian", "verify_gradhessian",
     "align", "range_split", "pl_dual_bound", "saddle_eta0",
-    "normcompare_check", "psd_split", "run_certificate_suites",
+    "normcompare_check", "run_certificate_suites",
     "ExperimentConfig", "build_instance", "run_experiment",
 ]

@@ -12,16 +12,14 @@ Vectorization is column-major throughout, so vec(A W B^T) = (B kron A) vec(W).
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from scipy.special import expit
-
-from .losses import LinearLoss, OneBitLoss, ScaledLoss, make_gaussian_operator
-from .factored import g_grad, g_hess_min_eig
+from .losses import LinearLoss, make_gaussian_operator
+from .factored import DENSE_LIMIT, _basis_images, g_grad, g_hess_min_eig
 from .rip import pl_radius_sym
 
-DENSE_LIMIT = 4000
 _RANGE_TOL = 1e-10
 
 
@@ -44,26 +42,6 @@ def sym_mat(v, n=None):
     return 0.5 * (W + W.T)
 
 
-@dataclass
-class VecOps:
-    """Column-major vectorization helpers bound to a factor shape."""
-
-    n: int
-    r: int
-
-    def vec(self, A):
-        return vec(A)
-
-    def unvec(self, v):
-        return unvec(v, self.n)
-
-    def sym_mat(self, v):
-        return sym_mat(v, self.n)
-
-    def x_operator(self, X):
-        return x_operator(X)
-
-
 def x_operator(X, dense_limit=DENSE_LIMIT):
     """Dense n^2-by-nr matrix of U -> X U^T + U X^T.
 
@@ -74,37 +52,15 @@ def x_operator(X, dense_limit=DENSE_LIMIT):
     n, r = X.shape
     if n * n > dense_limit:
         raise ValueError("n^2 exceeds the dense limit %d" % dense_limit)
-    out = np.zeros((n * n, n * r))
-    for c in range(r):
-        col = X[:, c]
-        for a in range(n):
-            K = np.zeros((n, n))
-            K[a, :] += col
-            K[:, a] += col
-            out[:, c * n + a] = K.reshape(-1, order="F")
-    return out
+    # Each image is symmetric, so its row-major and column-major vecs agree.
+    return _basis_images(X).reshape(n * r, n * n).T
 
 
-def _hessian_at(loss, M):
-    """Dense n^2-by-n^2 loss Hessian at the base point M."""
-    n = loss.n
-    if isinstance(loss, ScaledLoss):
-        return loss.factor * _hessian_at(loss.inner, M)
-    if isinstance(loss, LinearLoss):
-        rows = loss.operator.matrices.transpose(0, 2, 1).reshape(loss.operator.p, -1)
-        return loss.operator.scale ** 2 * rows.T @ rows
-    if isinstance(loss, OneBitLoss):
-        s = expit(M)
-        return np.diag(loss.scale * (s * (1.0 - s)).reshape(-1, order="F"))
-    basis = np.eye(n * n)
-    H = np.empty((n * n, n * n))
-    for i in range(n * n):
-        Ki = unvec(basis[i], n)
-        for j in range(i, n * n):
-            v = loss.hess_form(M, Ki, unvec(basis[j], n))
-            H[i, j] = v
-            H[j, i] = v
-    return H
+@lru_cache(maxsize=8)
+def _quadrature(quad_points):
+    """Gauss-Legendre (node, weight) pairs mapped to [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    return tuple(zip(0.5 * (nodes + 1.0), 0.5 * weights))
 
 
 def mean_hessian(loss, X, m_star, quad_points=16):
@@ -118,13 +74,12 @@ def mean_hessian(loss, X, m_star, quad_points=16):
     X = np.asarray(X, dtype=float)
     m_star = np.asarray(m_star, dtype=float)
     M0 = X @ X.T
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-    ts = 0.5 * (nodes + 1.0)
-    ws = 0.5 * weights
     n2 = loss.n * loss.n
+    # Unit matrices in column-major order: basis[i] has a one at vec index i.
+    basis = np.eye(n2).reshape(n2, loss.n, loss.n).transpose(0, 2, 1)
     H = np.zeros((n2, n2))
-    for t, w in zip(ts, ws):
-        H += w * _hessian_at(loss, (1.0 - t) * M0 + t * m_star)
+    for t, w in _quadrature(quad_points):
+        H += w * loss.hess_gram((1.0 - t) * M0 + t * m_star, basis)
     return 0.5 * (H + H.T)
 
 
@@ -349,19 +304,6 @@ def saddle_eta0(X, Z, zeta=None, kappa=None):
     report.quantities.update(alpha=float(alpha), beta=float(beta), eta0=float(eta0))
     report.add_check("eta0_bound", eta0, 1.0 / 3.0, tol=1e-8)
     return report
-
-
-def psd_split(M, clip_tol=1e-12):
-    """Positive and negative parts of a symmetric matrix.
-
-    Eigenvalues within clip_tol of zero are treated as zero, so
-    M = plus - minus with both parts positive semidefinite.
-    """
-    M = np.asarray(M, dtype=float)
-    lam, V = np.linalg.eigh(0.5 * (M + M.T))
-    pos = np.where(lam > clip_tol, lam, 0.0)
-    neg = np.where(lam < -clip_tol, -lam, 0.0)
-    return (V * pos) @ V.T, (V * neg) @ V.T
 
 
 def run_certificate_suites(seed=0, gradhessian=100, saddle=500, pl_dual=200,

@@ -35,7 +35,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,11 +62,6 @@ ONEBIT_SCALE = 6.0
 # at the local-region boundary, so the plain-descent phase starts well
 # inside the region.
 GTHRES_FRACTION = 0.02
-
-_INT_KEYS = ("n", "m", "r", "p", "seed", "max_iters", "rip_samples")
-_FLOAT_KEYS = ("c", "kappa", "gamma", "eps_target", "eta", "grad_tol")
-_STR_KEYS = ("kind", "solver", "out")
-_OPTIONAL = ("m", "p", "kappa", "eps_target", "max_iters", "solver", "eta", "out")
 
 
 @dataclass
@@ -143,14 +138,13 @@ class ExperimentConfig:
 
     def to_dict(self):
         """Experiment-defining fields; the output path is excluded."""
-        return {
-            "kind": self.kind, "n": self.n, "m": self.m, "r": self.r,
-            "p": self.p, "seed": self.seed, "c": self.c, "kappa": self.kappa,
-            "gamma": self.gamma, "eps_target": self.eps_target,
-            "max_iters": self.max_iters, "solver": self.solver,
-            "eta": self.eta, "grad_tol": self.grad_tol,
-            "rip_samples": self.rip_samples,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "out"}
+
+
+# A config key's field type is its parser; a None default means it may be
+# left to derivation with ``auto``.
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
 def config_hash(config):
@@ -176,21 +170,38 @@ def parse_config(text):
     return data
 
 
+def _parse_value(key, text):
+    """Parse one config value by its field type; errors name the key."""
+    if key not in _FIELDS:
+        raise ValueError("unknown config key %r" % key)
+    field = _FIELDS[key]
+    if text.lower() == "auto":
+        if field.default is not None:
+            raise ValueError("config key %r cannot be auto" % key)
+        return None
+    if field.type is str:
+        return text
+    if field.type is int:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError("config key %r: %r is not a number" % (key, text)) from None
+    if not math.isfinite(value):
+        raise ValueError("config key %r must be finite, got %r" % (key, text))
+    if field.type is int:
+        if not value.is_integer():
+            raise ValueError("config key %r must be an integer, got %r" % (key, text))
+        return int(value)
+    return value
+
+
 def config_from_mapping(data, overrides=None):
     """Build an ExperimentConfig from string values plus overrides."""
-    kwargs = {}
-    for key, value in data.items():
-        if key in _INT_KEYS:
-            parsed = None if value.lower() == "auto" else int(value)
-        elif key in _FLOAT_KEYS:
-            parsed = None if value.lower() == "auto" else float(value)
-        elif key in _STR_KEYS:
-            parsed = None if value.lower() == "auto" else value
-        else:
-            raise ValueError("unknown config key %r" % key)
-        if parsed is None and key not in _OPTIONAL and key != "kappa":
-            raise ValueError("config key %r cannot be auto" % key)
-        kwargs[key] = parsed
+    kwargs = {key: _parse_value(key, value) for key, value in data.items()}
     for key in ("kind", "n", "r"):
         if kwargs.get(key) is None:
             raise ValueError("config must set %r" % key)

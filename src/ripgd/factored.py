@@ -7,12 +7,12 @@ penalty, after which the symmetric machinery applies unchanged.
 """
 
 import numpy as np
-from scipy.special import expit
 
-from .losses import MatrixLoss, LinearLoss, OneBitLoss, ScaledLoss, RANK_TOL
+from .losses import MatrixLoss, check_rank
 
-# Largest factored Hessian (nr by nr) assembled densely.
-DENSE_EIG_LIMIT = 4000
+# Largest side of a dense matrix assembled over the factor or matrix space:
+# nr for the factored Hessian, n^2 for the linearization operator.
+DENSE_LIMIT = 4000
 
 
 def _check_factor(loss, X):
@@ -53,16 +53,6 @@ def g_hess_form(loss, X, U):
     return loss.hess_form(M, K, K) + 2.0 * float(np.sum(loss.grad(M) * (U @ U.T)))
 
 
-def g_hess_bilinear(loss, X, U, V):
-    """Polarized factored Hessian evaluated on a pair of directions."""
-    X = _check_factor(loss, X)
-    M = X @ X.T
-    KU = X @ U.T + U @ X.T
-    KV = X @ V.T + V @ X.T
-    cross = U @ V.T
-    return loss.hess_form(M, KU, KV) + float(np.sum(loss.grad(M) * (cross + cross.T)))
-
-
 def _basis_images(X):
     """Matrices X e_j^T + e_j X^T for the canonical factor basis.
 
@@ -80,23 +70,7 @@ def _basis_images(X):
     return out
 
 
-def _hess_gram(loss, M, images):
-    """Loss-Hessian Gram matrix of the basis images, or None when generic."""
-    if isinstance(loss, ScaledLoss):
-        inner = _hess_gram(loss.inner, M, images)
-        return None if inner is None else loss.factor * inner
-    if isinstance(loss, LinearLoss):
-        B = loss.operator.apply_batch(images)
-        return B @ B.T
-    if isinstance(loss, OneBitLoss):
-        s = expit(M)
-        w = loss.scale * s * (1.0 - s)
-        flat = images.reshape(images.shape[0], -1)
-        return (flat * w.reshape(-1)) @ flat.T
-    return None
-
-
-def hess_matrix(loss, X, dense_limit=DENSE_EIG_LIMIT):
+def hess_matrix(loss, X, dense_limit=DENSE_LIMIT):
     """Dense factored Hessian in the column-major factor basis."""
     X = _check_factor(loss, X)
     n, r = X.shape
@@ -107,21 +81,12 @@ def hess_matrix(loss, X, dense_limit=DENSE_EIG_LIMIT):
             "iterative eigensolver on g_hess_form instead" % (d, dense_limit)
         )
     M = X @ X.T
-    images = _basis_images(X)
-    G = _hess_gram(loss, M, images)
-    if G is None:
-        G = np.empty((d, d))
-        for i in range(d):
-            for j in range(i, d):
-                v = loss.hess_form(M, images[i], images[j])
-                G[i, j] = v
-                G[j, i] = v
     W = loss.grad(M)
-    G = G + np.kron(np.eye(r), W + W.T)
+    G = loss.hess_gram(M, _basis_images(X)) + np.kron(np.eye(r), W + W.T)
     return 0.5 * (G + G.T)
 
 
-def g_hess_min_eig(loss, X, dense_limit=DENSE_EIG_LIMIT):
+def g_hess_min_eig(loss, X, dense_limit=DENSE_LIMIT):
     """Smallest eigenvalue of the factored Hessian at X."""
     return float(np.linalg.eigvalsh(hess_matrix(loss, X, dense_limit))[0])
 
@@ -150,30 +115,31 @@ class LiftedLoss(MatrixLoss):
         k = self.split
         return M[:k, :k], M[:k, k:], M[k:, :k], M[k:, k:]
 
-    def value(self, M):
-        M = self._check(M)
-        b11, b12, b21, b22 = self._blocks(M)
-        bal = (
-            np.sum(b11 * b11) + np.sum(b22 * b22)
-            - np.sum(b12 * b12) - np.sum(b21 * b21)
-        )
-        return 0.5 * (self.inner.value(b12) + self.inner.value(b21.T)) + 0.25 * self.phi * bal
-
-    def grad(self, M):
-        M = self._check(M)
+    def _assemble_grad(self, M, g12, g21):
+        """Lifted gradient from the inner gradients at N12 and N21^T."""
         b11, b12, b21, b22 = self._blocks(M)
         k = self.split
         G = np.zeros_like(M)
         G[:k, :k] = 0.5 * self.phi * b11
         G[k:, k:] = 0.5 * self.phi * b22
-        G[:k, k:] = 0.5 * self.inner.grad(b12) - 0.5 * self.phi * b12
-        G[k:, :k] = 0.5 * self.inner.grad(b21.T).T - 0.5 * self.phi * b21
+        G[:k, k:] = 0.5 * g12 - 0.5 * self.phi * b12
+        G[k:, :k] = 0.5 * g21.T - 0.5 * self.phi * b21
         return G
+
+    def value(self, M):
+        return self.value_and_grad(M)[0]
+
+    def grad(self, M):
+        # Not via value_and_grad: the block sums of the value would add a
+        # quarter to estimate_rho1, which calls only the gradient.
+        M = self._check(M)
+        _, b12, b21, _ = self._blocks(M)
+        return self._assemble_grad(M, self.inner.grad(b12),
+                                   self.inner.grad(b21.T))
 
     def value_and_grad(self, M):
         M = self._check(M)
         b11, b12, b21, b22 = self._blocks(M)
-        k = self.split
         v12, g12 = self.inner.value_and_grad(b12)
         v21, g21 = self.inner.value_and_grad(b21.T)
         bal = (
@@ -181,12 +147,7 @@ class LiftedLoss(MatrixLoss):
             - np.sum(b12 * b12) - np.sum(b21 * b21)
         )
         val = 0.5 * (v12 + v21) + 0.25 * self.phi * bal
-        G = np.zeros_like(M)
-        G[:k, :k] = 0.5 * self.phi * b11
-        G[k:, k:] = 0.5 * self.phi * b22
-        G[:k, k:] = 0.5 * g12 - 0.5 * self.phi * b12
-        G[k:, :k] = 0.5 * g21.T - 0.5 * self.phi * b21
-        return float(val), G
+        return float(val), self._assemble_grad(M, g12, g21)
 
     def hess_form(self, M, K, L):
         M = self._check(M)
@@ -204,6 +165,19 @@ class LiftedLoss(MatrixLoss):
             - np.sum(k12 * l12) - np.sum(k21 * l21)
         )
         return quad + 0.5 * self.phi * float(bal)
+
+    def hess_gram(self, M, dirs):
+        M = self._check(M)
+        dirs = np.asarray(dirs, dtype=float)
+        k = self.split
+        _, m12, m21, _ = self._blocks(M)
+        quad = (self.inner.hess_gram(m12, dirs[:, :k, k:])
+                + self.inner.hess_gram(m21.T, dirs[:, k:, :k].transpose(0, 2, 1)))
+        # The balancing term is +phi/2 on the diagonal blocks, -phi/2 off them.
+        sign = np.ones((self.n, self.n))
+        sign[:k, k:] = sign[k:, :k] = -1.0
+        flat = dirs.reshape(len(dirs), -1)
+        return 0.5 * quad + 0.5 * self.phi * ((flat * sign.reshape(-1)) @ flat.T)
 
 
 def lift_asymmetric(loss, n, m, phi):
@@ -224,13 +198,8 @@ def balance_and_augment(m_star, r):
     m_star = np.asarray(m_star, dtype=float)
     if m_star.ndim != 2:
         raise ValueError("m_star must be a matrix")
-    if r < 1 or r > min(m_star.shape):
-        raise ValueError("rank out of range")
     P, sv, Qt = np.linalg.svd(m_star, full_matrices=False)
-    if sv[r - 1] <= RANK_TOL:
-        raise ValueError("m_star is numerically rank deficient for rank %d" % r)
-    if r < len(sv) and sv[r] >= RANK_TOL:
-        raise ValueError("m_star has numerical rank above %d" % r)
+    check_rank(sv, r)
     root = np.sqrt(sv[:r])
     u_star = P[:, :r] * root
     v_star = Qt[:r].T * root

@@ -4,22 +4,10 @@ Two concrete losses are provided: the quadratic loss induced by a linear
 sensing operator (``LinearLoss``) and the negative log-likelihood of 1-bit
 observations (``OneBitLoss``).  Both expose value, gradient and the Hessian
 bilinear form, which is all the rest of the package needs from a loss.
-
-Operators and losses serialize to JSON so experiments can be replayed
-bit-exactly.  Schema (version 1):
-
-    operator: {"format": "linear-operator", "version": 1,
-               "n": int, "m": int, "p": int, "seed": int, "scale": float}
-    loss:     {"format": "matrix-loss", "version": 1, "kind": "linear",
-               "operator": {...}, "d": [float, ...]}
-              {"format": "matrix-loss", "version": 1, "kind": "onebit",
-               "scale": float, "y": [[float, ...], ...]}
-
-Sensing matrices are regenerated from ``seed`` with numpy's default PCG64
-generator, so replay assumes the same numpy RNG algorithm.
+Each loss also assembles the Gram matrix of its Hessian form over a stack
+of directions, which is how the dense Hessians in ``factored`` and
+``certify`` are built.
 """
-
-import json
 
 import numpy as np
 from scipy.special import expit
@@ -31,7 +19,7 @@ RANK_TOL = 1e-10
 class LinearOperator:
     """Linear sensing map M -> scale * (<A_1, M>, ..., <A_p, M>)."""
 
-    def __init__(self, matrices, scale=1.0, seed=None):
+    def __init__(self, matrices, scale=1.0):
         matrices = np.asarray(matrices, dtype=float)
         if matrices.ndim != 3:
             raise ValueError("expected a (p, n, m) stack of sensing matrices")
@@ -43,7 +31,6 @@ class LinearOperator:
             raise ValueError("operator scale must be positive")
         self.matrices = matrices
         self.scale = float(scale)
-        self.seed = seed
 
     @property
     def p(self):
@@ -85,7 +72,7 @@ class LinearOperator:
 
     def with_scale(self, scale):
         """Copy of this operator with the scale replaced."""
-        return LinearOperator(self.matrices, scale=scale, seed=self.seed)
+        return LinearOperator(self.matrices, scale=scale)
 
 
 def make_gaussian_operator(n, m, p, seed):
@@ -93,15 +80,15 @@ def make_gaussian_operator(n, m, p, seed):
     if min(n, m, p) < 1:
         raise ValueError("n, m, p must be positive")
     rng = np.random.default_rng(seed)
-    return LinearOperator(rng.standard_normal((p, n, m)), scale=1.0, seed=seed)
+    return LinearOperator(rng.standard_normal((p, n, m)), scale=1.0)
 
 
 class MatrixLoss:
     """Interface for a smooth loss on n-by-m matrices.
 
     Subclasses implement ``value``, ``grad`` and the Hessian bilinear form
-    ``hess_form(M, K, L)``.  ``value_and_grad`` may be overridden when the
-    two share work.
+    ``hess_form(M, K, L)``.  ``value_and_grad`` and ``hess_gram`` may be
+    overridden when a loss can share or batch the work.
     """
 
     kind = "abstract"
@@ -128,6 +115,15 @@ class MatrixLoss:
 
     def value_and_grad(self, M):
         return self.value(M), self.grad(M)
+
+    def hess_gram(self, M, dirs):
+        """Gram matrix [hess_form(M, dirs[i], dirs[j])] of a (k, n, m) stack."""
+        k = len(dirs)
+        G = np.empty((k, k))
+        for i in range(k):
+            for j in range(i, k):
+                G[i, j] = G[j, i] = self.hess_form(M, dirs[i], dirs[j])
+        return G
 
 
 class LinearLoss(MatrixLoss):
@@ -159,6 +155,10 @@ class LinearLoss(MatrixLoss):
     def hess_form(self, M, K, L):
         # Constant Hessian: the base point M is ignored.
         return float(self.operator.apply(K) @ self.operator.apply(L))
+
+    def hess_gram(self, M, dirs):
+        B = self.operator.apply_batch(dirs)
+        return B @ B.T
 
 
 class OneBitLoss(MatrixLoss):
@@ -198,6 +198,12 @@ class OneBitLoss(MatrixLoss):
         s = expit(M)
         return self.scale * float(np.sum(s * (1.0 - s) * K * L))
 
+    def hess_gram(self, M, dirs):
+        s = expit(self._check(M))
+        w = self.scale * s * (1.0 - s)
+        flat = np.asarray(dirs, dtype=float).reshape(len(dirs), -1)
+        return (flat * w.reshape(-1)) @ flat.T
+
 
 class ScaledLoss(MatrixLoss):
     """A loss multiplied by a positive constant."""
@@ -224,6 +230,9 @@ class ScaledLoss(MatrixLoss):
     def hess_form(self, M, K, L):
         return self.factor * self.inner.hess_form(M, K, L)
 
+    def hess_gram(self, M, dirs):
+        return self.factor * self.inner.hess_gram(M, dirs)
+
 
 def make_onebit_loss(m_hat, scale=6.0):
     """1-bit loss whose observation rates come from a planted matrix.
@@ -242,6 +251,16 @@ def make_onebit_loss(m_hat, scale=6.0):
 def onebit_rho2(scale):
     """Lipschitz constant of the 1-bit Hessian: scale * max |sigmoid''|."""
     return scale / (6.0 * np.sqrt(3.0))
+
+
+def check_rank(sv, r):
+    """Raise unless the descending singular values sv have numerical rank r."""
+    if r < 1 or r > len(sv):
+        raise ValueError("rank out of range")
+    if sv[r - 1] <= RANK_TOL:
+        raise ValueError("m_star is numerically rank deficient for rank %d" % r)
+    if r < len(sv) and sv[r] >= RANK_TOL:
+        raise ValueError("m_star has numerical rank above %d" % r)
 
 
 def estimate_rho1(loss, n, m, r, delta, samples=200, seed=0):
@@ -289,13 +308,8 @@ class RecoveryProblem:
             raise ValueError("rho1 must be at least 1 + 2*delta")
         if rho2 < 0:
             raise ValueError("rho2 must be nonnegative")
-        if r < 1 or r > min(loss.n, loss.m):
-            raise ValueError("rank out of range")
         sv = np.linalg.svd(m_star, compute_uv=False)
-        if sv[r - 1] <= RANK_TOL:
-            raise ValueError("m_star is numerically rank deficient for rank %d" % r)
-        if r < len(sv) and sv[r] >= RANK_TOL:
-            raise ValueError("m_star has numerical rank above %d" % r)
+        check_rank(sv, r)
         norm = np.linalg.norm(m_star)
         if norm > bound_d * (1 + 1e-12):
             raise ValueError("bound_d must dominate ||m_star||_F")
@@ -313,64 +327,3 @@ class RecoveryProblem:
     def n(self):
         return self.m_star.shape[0]
 
-
-def operator_to_dict(op):
-    if op.seed is None:
-        raise ValueError("operator has no seed; only seeded operators serialize")
-    return {
-        "format": "linear-operator",
-        "version": 1,
-        "n": op.n,
-        "m": op.m,
-        "p": op.p,
-        "seed": int(op.seed),
-        "scale": op.scale,
-    }
-
-
-def operator_from_dict(data):
-    if data.get("format") != "linear-operator" or data.get("version") != 1:
-        raise ValueError("unrecognized operator record")
-    op = make_gaussian_operator(data["n"], data["m"], data["p"], data["seed"])
-    return op.with_scale(data["scale"])
-
-
-def loss_to_dict(loss):
-    if isinstance(loss, LinearLoss):
-        return {
-            "format": "matrix-loss",
-            "version": 1,
-            "kind": "linear",
-            "operator": operator_to_dict(loss.operator),
-            "d": loss.d.tolist(),
-        }
-    if isinstance(loss, OneBitLoss):
-        return {
-            "format": "matrix-loss",
-            "version": 1,
-            "kind": "onebit",
-            "scale": loss.scale,
-            "y": loss.y.tolist(),
-        }
-    raise ValueError("cannot serialize loss of kind %r" % loss.kind)
-
-
-def loss_from_dict(data):
-    if data.get("format") != "matrix-loss" or data.get("version") != 1:
-        raise ValueError("unrecognized loss record")
-    if data["kind"] == "linear":
-        return LinearLoss(operator_from_dict(data["operator"]), np.asarray(data["d"]))
-    if data["kind"] == "onebit":
-        return OneBitLoss(np.asarray(data["y"]), scale=data["scale"])
-    raise ValueError("unrecognized loss kind %r" % data["kind"])
-
-
-def save_loss(loss, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(loss_to_dict(loss), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_loss(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loss_from_dict(json.load(fh))

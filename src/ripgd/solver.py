@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import rip
-from .factored import g_value_and_grad, g_grad, g_hess_min_eig
+from .factored import g_value_and_grad, g_grad
 
 TRACE_HEADER = "t,f,grad_norm,dist,in_region,perturbed,phase"
 
@@ -295,16 +295,6 @@ def perturbed_gd(problem, x0, params, eps_target, max_iters=100000, seed=0):
         X = X - params.eta * grad
         t += 1
     return rec.freeze(X, stop, phase == 2)
-
-
-def check_second_order(problem, X, kappa):
-    """Whether X is a kappa-approximate second-order stationary point."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    grad = g_grad(problem.loss, X)
-    if np.linalg.norm(grad) > kappa:
-        return False
-    return g_hess_min_eig(problem.loss, X) >= -kappa
 
 
 def descent_violation(trace, eta=None):

@@ -6,6 +6,7 @@ terminal summary by conftest.py).  The three experiment configs under
 configs/ are run exactly as the command line would run them.
 """
 
+import hashlib
 import math
 import time
 import types
@@ -24,28 +25,50 @@ from ripgd.cli import load_config, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
+# sha256 of the artifacts each config writes; equal with 1 and 2 BLAS
+# threads.  A change that alters them says why in CHANGES.md.
+GOLDEN = {
+    "fig1a": {
+        "trace.csv": "ff931a68c4776c5fd19d19d400a63fa7089efad8fa2d115c0314baebb2e1eb22",
+        "summary.json": "440a313c5008fd1f8b4253d9e614191963f88323ac54f9a833144aa31d494767",
+    },
+    "fig1b": {
+        "trace.csv": "57d4278e88da0cf64b1018bfd5b82b2ad880d0039ab133dc2c980ae95e1f9c73",
+        "summary.json": "287787edb1ce7b28159fad476222dee2b3a192420fe5ab72794bafa1fdbc3760",
+    },
+    "fig1c": {
+        "trace.csv": "2b473a6865c1085f3e57203b7aadc88d397e40cb11a22b197dbb1ce5b823e91c",
+        "summary.json": "4337c69df27a506903287c2233b63c5579cd491ed214c4487101102018db239b",
+    },
+}
 
-def _run(name, tmp_path_factory):
+
+@pytest.fixture(scope="module")
+def run_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("runs")
+
+
+def _run(name, run_root):
     config = load_config(str(CONFIG_DIR / (name + ".conf")),
-                         overrides={"out": str(tmp_path_factory.mktemp(name))})
+                         overrides={"out": str(run_root / name)})
     start = time.perf_counter()
     trace, summary, _ = run_experiment(config)
     return trace, summary, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
-def fig1a(tmp_path_factory):
-    return _run("fig1a", tmp_path_factory)
+def fig1a(run_root):
+    return _run("fig1a", run_root)
 
 
 @pytest.fixture(scope="module")
-def fig1b(tmp_path_factory):
-    return _run("fig1b", tmp_path_factory)
+def fig1b(run_root):
+    return _run("fig1b", run_root)
 
 
 @pytest.fixture(scope="module")
-def fig1c(tmp_path_factory):
-    return _run("fig1c", tmp_path_factory)
+def fig1c(run_root):
+    return _run("fig1c", run_root)
 
 
 def _finish(n, checks):
@@ -224,3 +247,13 @@ def test_criterion_7_formula_table():
         "local_region_sym": abs(local_region_sym(0.0, 1.0) - 0.8284) <= 1e-4,
     }
     _finish(7, checks)
+
+
+def test_golden_artifact_hashes(fig1a, fig1b, fig1c, run_root):
+    got = {
+        name: {artifact: hashlib.sha256((run_root / name / artifact)
+                                        .read_bytes()).hexdigest()
+               for artifact in files}
+        for name, files in GOLDEN.items()
+    }
+    assert got == GOLDEN

@@ -12,7 +12,6 @@ from ripgd.losses import (
 )
 from ripgd.factored import g_grad
 from ripgd.certify import (
-    VecOps,
     vec,
     unvec,
     sym_mat,
@@ -24,7 +23,6 @@ from ripgd.certify import (
     normcompare_check,
     pl_dual_bound,
     saddle_eta0,
-    psd_split,
     run_certificate_suites,
 )
 from ripgd.rip import pl_radius_sym
@@ -47,9 +45,6 @@ def test_vec_column_major():
     B = np.arange(6.0).reshape(2, 3)
     assert np.array_equal(unvec(vec(B), 2, 3), B)
     assert np.array_equal(sym_mat(vec(A)), 0.5 * (A + A.T))
-    ops = VecOps(2, 1)
-    assert np.array_equal(ops.unvec(ops.vec(A)), A)
-    assert np.array_equal(ops.sym_mat(ops.vec(A)), 0.5 * (A + A.T))
 
 
 def test_vec_kron_identity():
@@ -233,31 +228,6 @@ def test_normcompare():
     with pytest.raises(ValueError, match="align"):
         x = np.array([[1.0]])
         normcompare_check(x, -x)
-
-
-def test_psd_split():
-    rng = np.random.default_rng(15)
-    M = rng.standard_normal((5, 5))
-    M = M + M.T
-    plus, minus = psd_split(M)
-    assert np.allclose(plus - minus, M, atol=1e-10)
-    assert np.linalg.eigvalsh(plus)[0] >= -1e-12
-    assert np.linalg.eigvalsh(minus)[0] >= -1e-12
-    assert abs(np.sum(plus * minus)) <= 1e-10
-
-
-def test_psd_split_rank_two_traces():
-    # For u v^T + v u^T the split traces are ||u|| ||v|| (1 +/- cos).
-    rng = np.random.default_rng(16)
-    for _ in range(20):
-        u = rng.standard_normal(6)
-        v = rng.standard_normal(6)
-        M = np.outer(u, v) + np.outer(v, u)
-        plus, minus = psd_split(M)
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        cos = float(u @ v) / (nu * nv)
-        assert np.trace(plus) == pytest.approx(nu * nv * (1 + cos), abs=1e-10)
-        assert np.trace(minus) == pytest.approx(nu * nv * (1 - cos), abs=1e-10)
 
 
 def test_pl_dual_bound_random():

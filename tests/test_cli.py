@@ -55,6 +55,13 @@ def test_config_from_mapping():
     with pytest.raises(ValueError, match="cannot be auto"):
         config_from_mapping({"kind": "sym-linear", "n": "auto", "r": "1",
                              "p": "40"})
+    # Integer keys take integral floats such as the README's 1e5; every
+    # other malformed or non-finite value is refused naming its key.
+    assert config_from_mapping({**data, "max_iters": "1e5"}).max_iters == 100000
+    for key, value in (("max_iters", "4.5"), ("c", "inf"), ("grad_tol", "nan"),
+                       ("n", "eight")):
+        with pytest.raises(ValueError, match="config key '%s'" % key):
+            config_from_mapping({**data, key: value})
 
 
 def test_config_defaults():

@@ -4,6 +4,7 @@ import pytest
 from ripgd.losses import (
     LinearOperator,
     LinearLoss,
+    MatrixLoss,
     OneBitLoss,
     ScaledLoss,
     make_gaussian_operator,
@@ -13,7 +14,6 @@ from ripgd.factored import (
     g_grad,
     g_value_and_grad,
     g_hess_form,
-    g_hess_bilinear,
     g_hess_min_eig,
     hess_matrix,
     LiftedLoss,
@@ -96,16 +96,11 @@ def test_factor_hessian_fd():
         assert abs(q - fd_g_quad(loss, X, U)) <= 1e-3 * max(1.0, abs(q))
 
 
-def test_hess_bilinear_polarization():
-    rng = np.random.default_rng(12)
-    lin, _ = random_losses(rng, 3)
-    X = rng.standard_normal((3, 2))
-    U = rng.standard_normal((3, 2))
-    V = rng.standard_normal((3, 2))
-    b = g_hess_bilinear(lin, X, U, V)
-    assert b == pytest.approx(g_hess_bilinear(lin, X, V, U), rel=1e-10)
-    assert g_hess_bilinear(lin, X, U, U) == pytest.approx(
-        g_hess_form(lin, X, U), rel=1e-10)
+def lifted_loss(rng):
+    """Scaled lift of a 2-by-1 linear loss: a square loss on 3 rows."""
+    inner = LinearLoss(make_gaussian_operator(2, 1, 6, seed=5),
+                       rng.standard_normal(6))
+    return ScaledLoss(lift_asymmetric(inner, 2, 1, phi=0.4), 1.7)
 
 
 def test_hess_matrix_matches_form():
@@ -114,7 +109,7 @@ def test_hess_matrix_matches_form():
     rng = np.random.default_rng(13)
     lin, onebit = random_losses(rng, 3)
     scaled = ScaledLoss(onebit, 2.5)
-    for loss in (lin, onebit, scaled):
+    for loss in (lin, onebit, scaled, lifted_loss(rng)):
         X = rng.standard_normal((3, 2))
         H = hess_matrix(loss, X)
         np.testing.assert_allclose(H, H.T, atol=1e-12)
@@ -126,20 +121,16 @@ def test_hess_matrix_matches_form():
 
 
 def test_hess_matrix_generic_path_matches_gram_path():
-    # A loss without a fast Gram path goes through the generic double
-    # loop; wrapping a linear loss in a plain subclass exercises it.
-    class OpaqueLoss(LinearLoss):
-        pass
-
-    OpaqueLoss.kind = "opaque"
+    # Every batched Gram must agree with the generic double loop over
+    # hess_form that MatrixLoss provides for losses without one.
     rng = np.random.default_rng(14)
-    op = make_gaussian_operator(3, 3, 9, seed=21)
-    d = rng.standard_normal(9)
-    fast = LinearLoss(op, d)
-    slow = OpaqueLoss(op, d)
-    X = rng.standard_normal((3, 2))
-    np.testing.assert_allclose(hess_matrix(slow, X), hess_matrix(fast, X),
-                               rtol=1e-10, atol=1e-12)
+    lin, onebit = random_losses(rng, 3)
+    for loss in (lin, onebit, ScaledLoss(lin, 0.7), lifted_loss(rng)):
+        M = rng.standard_normal((3, 3))
+        dirs = rng.standard_normal((5, 3, 3))
+        np.testing.assert_allclose(loss.hess_gram(M, dirs),
+                                   MatrixLoss.hess_gram(loss, M, dirs),
+                                   rtol=1e-10, atol=1e-12)
 
 
 def test_min_eig_at_zero_factor():

@@ -18,7 +18,7 @@ from ripgd.rip import (
 
 
 def identity_operator(n):
-    return LinearOperator(np.eye(n * n).reshape(n * n, n, n), seed=0)
+    return LinearOperator(np.eye(n * n).reshape(n * n, n, n))
 
 
 def test_formula_table():

@@ -8,7 +8,6 @@ from ripgd.solver import (
     pgd_params,
     gradient_descent,
     perturbed_gd,
-    check_second_order,
     descent_violation,
     level_set_violation,
     confinement_violation,
@@ -157,17 +156,6 @@ def test_perturbed_gd_validation():
         perturbed_gd(problem, np.zeros((1, 1)), params, eps_target=0.0)
     with pytest.raises(ValueError, match="norm bound"):
         perturbed_gd(problem, np.full((1, 1), 2.0), params, eps_target=1e-6)
-
-
-def test_check_second_order():
-    problem = scalar_problem(1.0, 0.0, 1.0)
-    # The saddle at 0 has zero gradient but curvature -1; the optimum has
-    # curvature 4.
-    assert not check_second_order(problem, np.zeros((1, 1)), kappa=0.5)
-    assert check_second_order(problem, np.ones((1, 1)), kappa=0.5)
-    assert not check_second_order(problem, np.full((1, 1), 0.5), kappa=1e-3)
-    with pytest.raises(ValueError):
-        check_second_order(problem, np.ones((1, 1)), kappa=0.0)
 
 
 def test_trace_csv_round_trip(tmp_path, saddle_run):
