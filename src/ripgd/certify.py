@@ -77,9 +77,14 @@ def mean_hessian(loss, X, m_star, quad_points=16):
     n2 = loss.n * loss.n
     # Unit matrices in column-major order: basis[i] has a one at vec index i.
     basis = np.eye(n2).reshape(n2, loss.n, loss.n).transpose(0, 2, 1)
+    # A constant Hessian is built once; the weighted sum over the nodes is
+    # kept so H has the same rounding as with one Gram per node.
+    fixed = loss.hess_gram(M0, basis) if loss.constant_hessian else None
     H = np.zeros((n2, n2))
     for t, w in _quadrature(quad_points):
-        H += w * loss.hess_gram((1.0 - t) * M0 + t * m_star, basis)
+        G = fixed if fixed is not None else loss.hess_gram(
+            (1.0 - t) * M0 + t * m_star, basis)
+        H += w * G
     return 0.5 * (H + H.T)
 
 

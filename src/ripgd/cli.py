@@ -86,6 +86,18 @@ class ExperimentConfig:
     out: str = None
 
     def __post_init__(self):
+        # Values given on the command line or in code skip the config-file
+        # parser, so its finiteness and integer checks are repeated here.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None or f.type is str:
+                continue
+            if not math.isfinite(value):
+                raise ValueError("config key %r must be finite, got %r"
+                                 % (f.name, value))
+            if f.type is int and value != int(value):
+                raise ValueError("config key %r must be an integer, got %r"
+                                 % (f.name, value))
         if self.kind not in KINDS:
             raise ValueError("kind must be one of %s" % (KINDS,))
         if self.n is None or self.r is None:

@@ -98,6 +98,11 @@ class LiftedLoss(MatrixLoss):
     (f(N12) + f(N21^T)) / 2 + phi/4 * (||N11||^2 + ||N22||^2
     - ||N12||^2 - ||N21||^2), so minimizing over N = X X^T with
     X = [U; V] recovers the asymmetric problem with balanced factors.
+
+    When N12 equals N21^T exactly, as it does for every N = X X^T, the inner
+    loss is evaluated once, on N12, and that result stands in for N21^T.
+    Equal inputs give equal outputs, so the value and gradient are the same
+    bits as with two evaluations.
     """
 
     kind = "lifted"
@@ -110,20 +115,21 @@ class LiftedLoss(MatrixLoss):
         self.split = inner.n
         self.n = inner.n + inner.m
         self.m = self.n
+        self.constant_hessian = inner.constant_hessian
 
     def _blocks(self, M):
         k = self.split
         return M[:k, :k], M[:k, k:], M[k:, :k], M[k:, k:]
 
     def _assemble_grad(self, M, g12, g21):
-        """Lifted gradient from the inner gradients at N12 and N21^T."""
-        b11, b12, b21, b22 = self._blocks(M)
+        """Lifted gradient from the inner gradients at N12 and N21^T.
+
+        The balancing part is phi/2 * M with the off-diagonal blocks negated.
+        """
         k = self.split
-        G = np.zeros_like(M)
-        G[:k, :k] = 0.5 * self.phi * b11
-        G[k:, k:] = 0.5 * self.phi * b22
-        G[:k, k:] = 0.5 * g12 - 0.5 * self.phi * b12
-        G[k:, :k] = 0.5 * g21.T - 0.5 * self.phi * b21
+        G = 0.5 * self.phi * M
+        G[:k, k:] = 0.5 * g12 - G[:k, k:]
+        G[k:, :k] = 0.5 * g21.T - G[k:, :k]
         return G
 
     def value(self, M):
@@ -134,14 +140,18 @@ class LiftedLoss(MatrixLoss):
         # quarter to estimate_rho1, which calls only the gradient.
         M = self._check(M)
         _, b12, b21, _ = self._blocks(M)
-        return self._assemble_grad(M, self.inner.grad(b12),
-                                   self.inner.grad(b21.T))
+        g12 = self.inner.grad(b12)
+        g21 = g12 if (b12 == b21.T).all() else self.inner.grad(b21.T)
+        return self._assemble_grad(M, g12, g21)
 
     def value_and_grad(self, M):
         M = self._check(M)
         b11, b12, b21, b22 = self._blocks(M)
         v12, g12 = self.inner.value_and_grad(b12)
-        v21, g21 = self.inner.value_and_grad(b21.T)
+        if (b12 == b21.T).all():
+            v21, g21 = v12, g12
+        else:
+            v21, g21 = self.inner.value_and_grad(b21.T)
         bal = (
             np.sum(b11 * b11) + np.sum(b22 * b22)
             - np.sum(b12 * b12) - np.sum(b21 * b21)

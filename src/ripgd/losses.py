@@ -10,7 +10,6 @@ of directions, which is how the dense Hessians in ``factored`` and
 """
 
 import numpy as np
-from scipy.special import expit
 
 # Absolute tolerance used for numerical rank decisions throughout.
 RANK_TOL = 1e-10
@@ -20,7 +19,8 @@ class LinearOperator:
     """Linear sensing map M -> scale * (<A_1, M>, ..., <A_p, M>)."""
 
     def __init__(self, matrices, scale=1.0):
-        matrices = np.asarray(matrices, dtype=float)
+        # C order makes the flat row view below share memory with matrices.
+        matrices = np.ascontiguousarray(matrices, dtype=float)
         if matrices.ndim != 3:
             raise ValueError("expected a (p, n, m) stack of sensing matrices")
         if matrices.shape[0] < 1:
@@ -31,6 +31,8 @@ class LinearOperator:
             raise ValueError("operator scale must be positive")
         self.matrices = matrices
         self.scale = float(scale)
+        # (p, n*m) view: apply and adjoint are single matrix-vector products.
+        self._rows = matrices.reshape(matrices.shape[0], -1)
 
     @property
     def p(self):
@@ -55,7 +57,7 @@ class LinearOperator:
 
     def apply(self, M):
         M = self._check_arg(M)
-        return self.scale * np.tensordot(self.matrices, M, axes=([1, 2], [0, 1]))
+        return self.scale * (self._rows @ M.reshape(-1))
 
     def apply_batch(self, Ms):
         """Apply the operator to a stack of matrices, (k, n, m) -> (k, p)."""
@@ -68,7 +70,7 @@ class LinearOperator:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.p,):
             raise ValueError("adjoint argument must be a length-%d vector" % self.p)
-        return self.scale * np.tensordot(v, self.matrices, axes=(0, 0))
+        return self.scale * (v @ self._rows).reshape(self.n, self.m)
 
     def with_scale(self, scale):
         """Copy of this operator with the scale replaced."""
@@ -88,10 +90,12 @@ class MatrixLoss:
 
     Subclasses implement ``value``, ``grad`` and the Hessian bilinear form
     ``hess_form(M, K, L)``.  ``value_and_grad`` and ``hess_gram`` may be
-    overridden when a loss can share or batch the work.
+    overridden when a loss can share or batch the work.  ``constant_hessian``
+    is true when the Hessian does not depend on the base point M.
     """
 
     kind = "abstract"
+    constant_hessian = False
     n = None
     m = None
 
@@ -130,6 +134,7 @@ class LinearLoss(MatrixLoss):
     """Quadratic measurement loss 0.5 * ||op(M) - d||^2."""
 
     kind = "linear"
+    constant_hessian = True
 
     def __init__(self, operator, d):
         d = np.asarray(d, dtype=float)
@@ -177,6 +182,10 @@ class OneBitLoss(MatrixLoss):
             raise ValueError("entries of y must lie in [0, 1]")
         if not scale > 0:
             raise ValueError("loss scale must be positive")
+        # Imported here, not at module level: scipy.special is most of the
+        # package's import time and only the 1-bit loss needs it.
+        from scipy.special import expit
+        self._expit = expit
         self.y = y
         self.scale = float(scale)
         self.n = y.shape[0]
@@ -189,17 +198,17 @@ class OneBitLoss(MatrixLoss):
 
     def grad(self, M):
         M = self._check(M)
-        return self.scale * (expit(M) - self.y)
+        return self.scale * (self._expit(M) - self.y)
 
     def hess_form(self, M, K, L):
         M = self._check(M)
         K = np.asarray(K, dtype=float)
         L = np.asarray(L, dtype=float)
-        s = expit(M)
+        s = self._expit(M)
         return self.scale * float(np.sum(s * (1.0 - s) * K * L))
 
     def hess_gram(self, M, dirs):
-        s = expit(self._check(M))
+        s = self._expit(self._check(M))
         w = self.scale * s * (1.0 - s)
         flat = np.asarray(dirs, dtype=float).reshape(len(dirs), -1)
         return (flat * w.reshape(-1)) @ flat.T
@@ -214,6 +223,7 @@ class ScaledLoss(MatrixLoss):
         self.inner = inner
         self.factor = float(factor)
         self.kind = "scaled-" + inner.kind
+        self.constant_hessian = inner.constant_hessian
         self.n = inner.n
         self.m = inner.m
 
@@ -242,6 +252,7 @@ def make_onebit_loss(m_hat, scale=6.0):
     weights 6 * sigmoid'(m) in (1/2, 3/2] whenever |m| <= 2.29, matching a
     restricted isometry constant of one half on that region.
     """
+    from scipy.special import expit
     m_hat = np.asarray(m_hat, dtype=float)
     if m_hat.ndim != 2 or m_hat.shape[0] != m_hat.shape[1]:
         raise ValueError("m_hat must be a square matrix")

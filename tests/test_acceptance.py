@@ -8,6 +8,9 @@ configs/ are run exactly as the command line would run them.
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
 import types
 from pathlib import Path
@@ -41,6 +44,11 @@ GOLDEN = {
         "summary.json": "4337c69df27a506903287c2233b63c5579cd491ed214c4487101102018db239b",
     },
 }
+
+
+# sha256 of the report that `ripgd certify --out` writes at the default
+# counts and seed 0.
+GOLDEN_CERTIFY = "f9d69a06a830e970cd1f3fb3972e0539c1f9e5ab5b44e357227b583f331e7c1d"
 
 
 @pytest.fixture(scope="module")
@@ -257,3 +265,20 @@ def test_golden_artifact_hashes(fig1a, fig1b, fig1c, run_root):
         for name, files in GOLDEN.items()
     }
     assert got == GOLDEN
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_certify_report(tmp_path, threads):
+    # A fresh interpreter per BLAS thread count: the count is fixed when
+    # numpy loads its BLAS.
+    report = tmp_path / "certify.json"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("from ripgd.cli import main; "
+            "raise SystemExit(main(['certify', '--out', %r]))" % str(report))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                   stdout=subprocess.DEVNULL)
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_CERTIFY

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ripgd
@@ -17,3 +20,20 @@ def test_readme_library_sketch_imports():
     assert statements, "README has no 'from ripgd import (...)' line"
     for statement in statements:
         exec(statement, {})
+
+
+def test_cli_import_defers_scipy_special():
+    # scipy.special is loaded only once a 1-bit loss is built.
+    code = (
+        "import sys, numpy as np\n"
+        "import ripgd.cli\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "from ripgd.losses import make_onebit_loss\n"
+        "loss = make_onebit_loss(np.zeros((2, 2)))\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "assert loss.grad(np.zeros((2, 2))).tolist() == [[0.0, 0.0], [0.0, 0.0]]\n"
+    )
+    src = str(Path(ripgd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

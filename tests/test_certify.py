@@ -7,10 +7,11 @@ from scipy.special import expit
 from ripgd.losses import (
     LinearLoss,
     LinearOperator,
+    ScaledLoss,
     make_gaussian_operator,
     make_onebit_loss,
 )
-from ripgd.factored import g_grad
+from ripgd.factored import g_grad, lift_asymmetric
 from ripgd.certify import (
     vec,
     unvec,
@@ -123,6 +124,52 @@ def test_mean_value_identity():
     e = vec(X @ X.T - m_hat)
     g = vec(ob.grad(X @ X.T))
     assert np.linalg.norm(H @ e - g) <= 1e-6 * np.linalg.norm(g)
+
+
+def count_hess_gram(loss):
+    """Make loss.hess_gram count its calls; returns the call list."""
+    calls = []
+    gram = loss.hess_gram
+
+    def counted(M, dirs):
+        calls.append(M)
+        return gram(M, dirs)
+
+    loss.hess_gram = counted
+    return calls
+
+
+def per_node_mean_hessian(loss, X, m_star, quad_points=16):
+    """Reference mean Hessian with one Gram per quadrature node."""
+    n = loss.n
+    M0 = X @ X.T
+    basis = np.eye(n * n).reshape(n * n, n, n).transpose(0, 2, 1)
+    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    H = np.zeros((n * n, n * n))
+    for t, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+        H += w * loss.hess_gram((1.0 - t) * M0 + t * m_star, basis)
+    return 0.5 * (H + H.T)
+
+
+def test_mean_hessian_builds_a_constant_hessian_once():
+    rng = np.random.default_rng(7)
+    op, _ = calibrated_operator(3, 27, seed=8)
+    z = rng.standard_normal((3, 2))
+    m_star = z @ z.T
+    lin = LinearLoss(op, op.apply(m_star))
+    lifted = lift_asymmetric(LinearLoss(make_gaussian_operator(2, 1, 6, seed=1),
+                                        rng.standard_normal(6)), 2, 1, 0.4)
+    ob = make_onebit_loss(0.5 * m_star / np.abs(m_star).max())
+    cases = ((lin, 1), (ScaledLoss(lin, 1.9), 1), (lifted, 1),
+             (ScaledLoss(lifted, 0.8), 1), (ob, 16), (ScaledLoss(ob, 2.0), 16))
+    for loss, want in cases:
+        assert loss.constant_hessian == (want == 1)
+        X = rng.standard_normal((3, 2))
+        reference = per_node_mean_hessian(loss, X, m_star)
+        calls = count_hess_gram(loss)
+        H = mean_hessian(loss, X, m_star)
+        assert len(calls) == want
+        np.testing.assert_array_equal(H, reference)
 
 
 def test_mean_hessian_validation():

@@ -97,6 +97,19 @@ def test_config_validation():
         ExperimentConfig(**{**good, "solver": "adam"})
     with pytest.raises(ValueError, match="eps_target"):
         ExperimentConfig(**{**good, "eps_target": 0.0})
+    # Direct construction skips the config-file parser; non-finite floats
+    # are still refused, naming the key.
+    for key in ("c", "kappa", "gamma", "eps_target", "grad_tol"):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="config key '%s' must be finite"
+                               % key):
+                ExperimentConfig(**{**good, key: bad})
+    with pytest.raises(ValueError, match="config key 'eta' must be finite"):
+        ExperimentConfig(kind="onebit", n=6, r=2, eta=math.inf)
+    with pytest.raises(ValueError, match="config key 'max_iters' must be finite"):
+        ExperimentConfig(**{**good, "max_iters": math.inf})
+    with pytest.raises(ValueError, match="config key 'max_iters' must be an integer"):
+        ExperimentConfig(**{**good, "max_iters": 2.5})
 
 
 def test_config_hash():
@@ -259,6 +272,16 @@ def test_main_run_eps_override(tmp_path):
     with open(out_dir / "summary.json") as fh:
         summary = json.load(fh)
     assert summary["config"]["eps_target"] == 1e-2
+
+
+def test_main_run_rejects_nonfinite_eps(tmp_path):
+    cfg_path = tmp_path / "onebit.conf"
+    cfg_path.write_text("kind = onebit\nn = 4\nr = 1\n")
+    out_dir = tmp_path / "run"
+    for bad in ("inf", "nan"):
+        with pytest.raises(ValueError, match="config key 'eps_target'"):
+            main(["run", str(cfg_path), "--out", str(out_dir), "--eps", bad])
+    assert not (out_dir / "summary.json").exists()
 
 
 def test_main_rip_estimate(tmp_path, capsys):

@@ -209,6 +209,81 @@ def test_lifted_loss_fd():
     assert sym == pytest.approx(lifted.hess_form(N, L, K), rel=1e-10)
 
 
+class CountingLoss(MatrixLoss):
+    """Inner loss that counts its value_and_grad and grad calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n, self.m = inner.n, inner.m
+        self.calls = 0
+
+    def value_and_grad(self, M):
+        self.calls += 1
+        return self.inner.value_and_grad(M)
+
+    def grad(self, M):
+        self.calls += 1
+        return self.inner.grad(M)
+
+
+def two_evaluation_lift(inner, phi, M):
+    """Lifted value and gradient with the inner loss run on both blocks."""
+    k = inner.n
+    b11, b12, b21, b22 = M[:k, :k], M[:k, k:], M[k:, :k], M[k:, k:]
+    v12, g12 = inner.value_and_grad(b12)
+    v21, g21 = inner.value_and_grad(b21.T)
+    bal = (np.sum(b11 * b11) + np.sum(b22 * b22)
+           - np.sum(b12 * b12) - np.sum(b21 * b21))
+    G = np.zeros_like(M)
+    G[:k, :k] = 0.5 * phi * b11
+    G[k:, k:] = 0.5 * phi * b22
+    G[:k, k:] = 0.5 * g12 - 0.5 * phi * b12
+    G[k:, :k] = 0.5 * g21.T - 0.5 * phi * b21
+    return float(0.5 * (v12 + v21) + 0.25 * phi * bal), G
+
+
+def test_lifted_loss_single_inner_evaluation():
+    # N = X X^T has N12 == N21^T bit for bit, so one inner evaluation
+    # serves both blocks and the result keeps the two-evaluation bits.
+    rng = np.random.default_rng(18)
+    base = LinearLoss(make_gaussian_operator(10, 8, 220, seed=9),
+                      rng.standard_normal(220))
+    counted = CountingLoss(base)
+    lifted = lift_asymmetric(counted, 10, 8, 0.4)
+    X = rng.standard_normal((18, 5))
+    N = X @ X.T
+    want_v, want_g = two_evaluation_lift(base, 0.4, N)
+    v, g = lifted.value_and_grad(N)
+    assert counted.calls == 1
+    assert v == want_v
+    np.testing.assert_array_equal(g, want_g)
+    counted.calls = 0
+    np.testing.assert_array_equal(lifted.grad(N), want_g)
+    assert counted.calls == 1
+
+
+def test_lifted_loss_asymmetric_input_evaluates_both_blocks():
+    rng = np.random.default_rng(19)
+    base = LinearLoss(make_gaussian_operator(3, 2, 10, seed=8),
+                      rng.standard_normal(10))
+    counted = CountingLoss(base)
+    phi = 0.3
+    lifted = lift_asymmetric(counted, 3, 2, phi)
+    N = rng.standard_normal((5, 5))
+    want_v, want_g = two_evaluation_lift(base, phi, N)
+    v, g = lifted.value_and_grad(N)
+    assert counted.calls == 2
+    assert v == want_v
+    np.testing.assert_array_equal(g, want_g)
+    counted.calls = 0
+    np.testing.assert_array_equal(lifted.grad(N), want_g)
+    assert counted.calls == 2
+    bal = (np.sum(N[:3, :3] ** 2) + np.sum(N[3:, 3:] ** 2)
+           - np.sum(N[:3, 3:] ** 2) - np.sum(N[3:, :3] ** 2))
+    want = 0.5 * (base.value(N[:3, 3:]) + base.value(N[3:, :3].T)) + 0.25 * phi * bal
+    assert v == pytest.approx(want, rel=1e-12)
+
+
 def test_lifted_validation():
     op = make_gaussian_operator(3, 2, 4, seed=0)
     inner = LinearLoss(op, np.zeros(4))

@@ -57,6 +57,33 @@ def test_operator_apply_batch_matches_apply():
         np.testing.assert_allclose(batch[k], op.apply(Ms[k]), rtol=1e-13)
 
 
+def test_operator_flat_rows_match_tensordot():
+    # apply and adjoint run on the flat (p, n*m) view; on the fig1a and
+    # fig1b shapes they give the same bits as the tensordot contractions.
+    rng = np.random.default_rng(2)
+    for n, m, p in ((40, 40, 120), (10, 8, 220)):
+        op = make_gaussian_operator(n, m, p, seed=3).with_scale(0.37)
+        assert np.shares_memory(op._rows, op.matrices)
+        big = rng.standard_normal((n + m, n + m))
+        for M in (rng.standard_normal((n, m)), big[:n, n:], big[n:, :n].T):
+            np.testing.assert_array_equal(
+                op.apply(M),
+                op.scale * np.tensordot(op.matrices, M, axes=([1, 2], [0, 1])))
+        v = rng.standard_normal(p)
+        np.testing.assert_array_equal(
+            op.adjoint(v), op.scale * np.tensordot(v, op.matrices, axes=(0, 0)))
+
+
+def test_operator_rows_follow_noncontiguous_input():
+    rng = np.random.default_rng(4)
+    mats = rng.standard_normal((6, 3, 4)).transpose(0, 2, 1)
+    op = LinearOperator(mats)
+    assert op.matrices.flags.c_contiguous
+    M = rng.standard_normal((4, 3))
+    np.testing.assert_array_equal(
+        op.apply(M), np.tensordot(mats, M, axes=([1, 2], [0, 1])))
+
+
 def test_operator_validation():
     with pytest.raises(ValueError):
         LinearOperator(np.zeros((2, 2)))
