@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import certify, rip, solver
-from .factored import balance_and_augment, lift_asymmetric
+from .factored import LiftedLoss, balance_and_augment
 from .losses import (
     LinearLoss,
     RecoveryProblem,
@@ -86,8 +86,9 @@ class ExperimentConfig:
     out: str = None
 
     def __post_init__(self):
-        # Values given on the command line or in code skip the config-file
-        # parser, so its finiteness and integer checks are repeated here.
+        # Every path (config file, command line, code) checks numeric values
+        # here and stores them as their field type, so equal experiments
+        # hash equally whether a count came in as 100000, 1e5 or np.int64.
         for f in fields(self):
             value = getattr(self, f.name)
             if value is None or f.type is str:
@@ -98,6 +99,7 @@ class ExperimentConfig:
             if f.type is int and value != int(value):
                 raise ValueError("config key %r must be an integer, got %r"
                                  % (f.name, value))
+            setattr(self, f.name, f.type(value))
         if self.kind not in KINDS:
             raise ValueError("kind must be one of %s" % (KINDS,))
         if self.n is None or self.r is None:
@@ -198,17 +200,11 @@ def _parse_value(key, text):
             return int(text)
         except ValueError:
             pass
+    # Finiteness and integrality are checked by ExperimentConfig.
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ValueError("config key %r: %r is not a number" % (key, text)) from None
-    if not math.isfinite(value):
-        raise ValueError("config key %r must be finite, got %r" % (key, text))
-    if field.type is int:
-        if not value.is_integer():
-            raise ValueError("config key %r must be an integer, got %r" % (key, text))
-        return int(value)
-    return value
 
 
 def config_from_mapping(data, overrides=None):
@@ -274,8 +270,7 @@ def _build_asym_linear(config, seeds):
     m_star = u @ v.T
     base_loss = LinearLoss(op, op.apply(m_star))
     phi = 0.5 * (1.0 - est.delta)
-    lifted = lift_asymmetric(base_loss, config.n, config.m, phi)
-    loss = ScaledLoss(lifted, 4.0 / (1.0 + est.delta))
+    loss = ScaledLoss(LiftedLoss(base_loss, phi), 4.0 / (1.0 + est.delta))
     delta_lift = 2.0 * est.delta / (1.0 + est.delta)
     _, _, m_tilde = balance_and_augment(m_star, config.r)
     dim = config.n + config.m
@@ -470,8 +465,19 @@ def run_experiment(config):
     return trace, summary, out_dir
 
 
+def _read_input(args, read, *read_args):
+    """Call read(*read_args), reporting a bad file or value as a usage error.
+
+    Errors raised later, while solving, still propagate as they are.
+    """
+    try:
+        return read(*read_args)
+    except (OSError, ValueError) as exc:
+        args.parser.exit(2, "%s: error: %s\n" % (args.parser.prog, exc))
+
+
 def _cmd_run(args):
-    config = load_config(args.config, overrides={
+    config = _read_input(args, load_config, args.config, {
         "seed": args.seed, "out": args.out, "eps_target": args.eps})
     trace, summary, out_dir = run_experiment(config)
     res = summary["result"]
@@ -487,7 +493,7 @@ def _cmd_run(args):
 
 
 def _cmd_rip_estimate(args):
-    config = load_config(args.config, overrides={"seed": args.seed})
+    config = _read_input(args, load_config, args.config, {"seed": args.seed})
     if config.kind == "onebit":
         raise SystemExit("rip-estimate needs a linear kind")
     seeds = derived_seeds(config.seed)
@@ -514,7 +520,7 @@ def _cmd_certify(args):
 
 
 def _cmd_plot_data(args):
-    trace = solver.Trace.from_csv(args.trace)
+    trace = _read_input(args, solver.Trace.from_csv, args.trace)
     for path in emit_plot_data(trace, args.out):
         print("wrote %s" % path)
     return 0
@@ -532,14 +538,14 @@ def main(argv=None):
     p_run.add_argument("--seed", type=int, help="override the master seed")
     p_run.add_argument("--out", help="override the output directory")
     p_run.add_argument("--eps", type=float, help="override eps_target")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, parser=p_run)
 
     p_rip = sub.add_parser("rip-estimate",
                            help="calibrate the operator of a linear config")
     p_rip.add_argument("config", help="path to a key-value config file")
     p_rip.add_argument("--seed", type=int, help="override the master seed")
     p_rip.add_argument("--out", help="also write the estimate to this file")
-    p_rip.set_defaults(func=_cmd_rip_estimate)
+    p_rip.set_defaults(func=_cmd_rip_estimate, parser=p_rip)
 
     p_cert = sub.add_parser("certify",
                             help="run the randomized certificate suites")
@@ -555,7 +561,7 @@ def main(argv=None):
                             help="expand a trace into plot series files")
     p_plot.add_argument("trace", help="path to a trace.csv")
     p_plot.add_argument("--out", default=".", help="output directory")
-    p_plot.set_defaults(func=_cmd_plot_data)
+    p_plot.set_defaults(func=_cmd_plot_data, parser=p_plot)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -24,11 +24,6 @@ def _check_factor(loss, X):
     return X
 
 
-def g_value(loss, X):
-    X = _check_factor(loss, X)
-    return loss.value(X @ X.T)
-
-
 def g_grad(loss, X):
     """Gradient of X -> loss(X X^T), namely (W + W^T) X with W = grad loss."""
     X = _check_factor(loss, X)
@@ -40,17 +35,6 @@ def g_value_and_grad(loss, X):
     X = _check_factor(loss, X)
     v, W = loss.value_and_grad(X @ X.T)
     return v, (W + W.T) @ X
-
-
-def g_hess_form(loss, X, U):
-    """Quadratic form of the factored Hessian in direction U."""
-    X = _check_factor(loss, X)
-    U = np.asarray(U, dtype=float)
-    if U.shape != X.shape:
-        raise ValueError("direction must match the factor shape")
-    M = X @ X.T
-    K = X @ U.T + U @ X.T
-    return loss.hess_form(M, K, K) + 2.0 * float(np.sum(loss.grad(M) * (U @ U.T)))
 
 
 def _basis_images(X):
@@ -76,10 +60,8 @@ def hess_matrix(loss, X, dense_limit=DENSE_LIMIT):
     n, r = X.shape
     d = n * r
     if d > dense_limit:
-        raise ValueError(
-            "factor dimension %d exceeds the dense limit %d; use an "
-            "iterative eigensolver on g_hess_form instead" % (d, dense_limit)
-        )
+        raise ValueError("factor dimension %d exceeds the dense limit %d"
+                         % (d, dense_limit))
     M = X @ X.T
     W = loss.grad(M)
     G = loss.hess_gram(M, _basis_images(X)) + np.kron(np.eye(r), W + W.T)
@@ -104,8 +86,6 @@ class LiftedLoss(MatrixLoss):
     Equal inputs give equal outputs, so the value and gradient are the same
     bits as with two evaluations.
     """
-
-    kind = "lifted"
 
     def __init__(self, inner, phi):
         if not phi > 0:
@@ -159,23 +139,6 @@ class LiftedLoss(MatrixLoss):
         val = 0.5 * (v12 + v21) + 0.25 * self.phi * bal
         return float(val), self._assemble_grad(M, g12, g21)
 
-    def hess_form(self, M, K, L):
-        M = self._check(M)
-        K = np.asarray(K, dtype=float)
-        L = np.asarray(L, dtype=float)
-        m11, m12, m21, _ = self._blocks(M)
-        k11, k12, k21, k22 = self._blocks(K)
-        l11, l12, l21, l22 = self._blocks(L)
-        quad = 0.5 * (
-            self.inner.hess_form(m12, k12, l12)
-            + self.inner.hess_form(m21.T, k21.T, l21.T)
-        )
-        bal = (
-            np.sum(k11 * l11) + np.sum(k22 * l22)
-            - np.sum(k12 * l12) - np.sum(k21 * l21)
-        )
-        return quad + 0.5 * self.phi * float(bal)
-
     def hess_gram(self, M, dirs):
         M = self._check(M)
         dirs = np.asarray(dirs, dtype=float)
@@ -188,13 +151,6 @@ class LiftedLoss(MatrixLoss):
         sign[:k, k:] = sign[k:, :k] = -1.0
         flat = dirs.reshape(len(dirs), -1)
         return 0.5 * quad + 0.5 * self.phi * ((flat * sign.reshape(-1)) @ flat.T)
-
-
-def lift_asymmetric(loss, n, m, phi):
-    """Lift an n-by-m loss to a balanced square loss on (n+m) blocks."""
-    if loss.n != n or loss.m != m:
-        raise ValueError("loss shape does not match (n, m)")
-    return LiftedLoss(loss, phi)
 
 
 def balance_and_augment(m_star, r):

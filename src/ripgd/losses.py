@@ -2,11 +2,10 @@
 
 Two concrete losses are provided: the quadratic loss induced by a linear
 sensing operator (``LinearLoss``) and the negative log-likelihood of 1-bit
-observations (``OneBitLoss``).  Both expose value, gradient and the Hessian
-bilinear form, which is all the rest of the package needs from a loss.
-Each loss also assembles the Gram matrix of its Hessian form over a stack
-of directions, which is how the dense Hessians in ``factored`` and
-``certify`` are built.
+observations (``OneBitLoss``).  Both expose value, gradient and the Gram
+matrix of the Hessian over a stack of directions, which is all the rest of
+the package needs from a loss: the dense Hessians in ``factored`` and
+``certify`` are built from that Gram.
 """
 
 import numpy as np
@@ -88,13 +87,13 @@ def make_gaussian_operator(n, m, p, seed):
 class MatrixLoss:
     """Interface for a smooth loss on n-by-m matrices.
 
-    Subclasses implement ``value``, ``grad`` and the Hessian bilinear form
-    ``hess_form(M, K, L)``.  ``value_and_grad`` and ``hess_gram`` may be
-    overridden when a loss can share or batch the work.  ``constant_hessian``
-    is true when the Hessian does not depend on the base point M.
+    Subclasses implement ``value``, ``grad`` and ``hess_gram(M, dirs)``, the
+    Gram matrix [<dirs[i], H(M) dirs[j]>] of the Hessian H(M) over a
+    (k, n, m) stack of directions.  ``value_and_grad`` may be overridden when
+    a loss can share the work.  ``constant_hessian`` is true when the Hessian
+    does not depend on the base point M.
     """
 
-    kind = "abstract"
     constant_hessian = False
     n = None
     m = None
@@ -114,26 +113,16 @@ class MatrixLoss:
     def grad(self, M):
         raise NotImplementedError
 
-    def hess_form(self, M, K, L):
+    def hess_gram(self, M, dirs):
         raise NotImplementedError
 
     def value_and_grad(self, M):
         return self.value(M), self.grad(M)
 
-    def hess_gram(self, M, dirs):
-        """Gram matrix [hess_form(M, dirs[i], dirs[j])] of a (k, n, m) stack."""
-        k = len(dirs)
-        G = np.empty((k, k))
-        for i in range(k):
-            for j in range(i, k):
-                G[i, j] = G[j, i] = self.hess_form(M, dirs[i], dirs[j])
-        return G
-
 
 class LinearLoss(MatrixLoss):
     """Quadratic measurement loss 0.5 * ||op(M) - d||^2."""
 
-    kind = "linear"
     constant_hessian = True
 
     def __init__(self, operator, d):
@@ -157,10 +146,6 @@ class LinearLoss(MatrixLoss):
         res = self.operator.apply(self._check(M)) - self.d
         return 0.5 * float(res @ res), self.operator.adjoint(res)
 
-    def hess_form(self, M, K, L):
-        # Constant Hessian: the base point M is ignored.
-        return float(self.operator.apply(K) @ self.operator.apply(L))
-
     def hess_gram(self, M, dirs):
         B = self.operator.apply_batch(dirs)
         return B @ B.T
@@ -171,8 +156,6 @@ class OneBitLoss(MatrixLoss):
 
     value(M) = scale * sum_ij (log(1 + exp(M_ij)) - y_ij * M_ij).
     """
-
-    kind = "onebit"
 
     def __init__(self, y, scale=1.0):
         y = np.asarray(y, dtype=float)
@@ -200,13 +183,6 @@ class OneBitLoss(MatrixLoss):
         M = self._check(M)
         return self.scale * (self._expit(M) - self.y)
 
-    def hess_form(self, M, K, L):
-        M = self._check(M)
-        K = np.asarray(K, dtype=float)
-        L = np.asarray(L, dtype=float)
-        s = self._expit(M)
-        return self.scale * float(np.sum(s * (1.0 - s) * K * L))
-
     def hess_gram(self, M, dirs):
         s = self._expit(self._check(M))
         w = self.scale * s * (1.0 - s)
@@ -222,7 +198,6 @@ class ScaledLoss(MatrixLoss):
             raise ValueError("factor must be positive")
         self.inner = inner
         self.factor = float(factor)
-        self.kind = "scaled-" + inner.kind
         self.constant_hessian = inner.constant_hessian
         self.n = inner.n
         self.m = inner.m
@@ -236,9 +211,6 @@ class ScaledLoss(MatrixLoss):
     def value_and_grad(self, M):
         v, g = self.inner.value_and_grad(M)
         return self.factor * v, self.factor * g
-
-    def hess_form(self, M, K, L):
-        return self.factor * self.inner.hess_form(M, K, L)
 
     def hess_gram(self, M, dirs):
         return self.factor * self.inner.hess_gram(M, dirs)

@@ -190,7 +190,7 @@ def _fd_grad_relerr(loss, M, h=1e-6):
 
 
 def _fd_hess_relerr(loss, M, K, L, h=1e-4):
-    got = loss.hess_form(M, K, L)
+    got = loss.hess_gram(M, np.stack([K, L]))[0, 1]
     fpp = loss.value(M + h * (K + L))
     fpm = loss.value(M + h * (K - L))
     fmp = loss.value(M - h * (K - L))

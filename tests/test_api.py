@@ -37,3 +37,7 @@ def test_cli_import_defers_scipy_special():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    # The package root does not import ripgd.cli, so running it as a module
+    # raises no runpy warning, even with warnings as errors.
+    subprocess.run([sys.executable, "-W", "error", "-m", "ripgd.cli", "--help"],
+                   check=True, env=env, stdout=subprocess.DEVNULL)

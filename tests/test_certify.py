@@ -11,7 +11,7 @@ from ripgd.losses import (
     make_gaussian_operator,
     make_onebit_loss,
 )
-from ripgd.factored import g_grad, lift_asymmetric
+from ripgd.factored import LiftedLoss, g_grad
 from ripgd.certify import (
     vec,
     unvec,
@@ -157,8 +157,8 @@ def test_mean_hessian_builds_a_constant_hessian_once():
     z = rng.standard_normal((3, 2))
     m_star = z @ z.T
     lin = LinearLoss(op, op.apply(m_star))
-    lifted = lift_asymmetric(LinearLoss(make_gaussian_operator(2, 1, 6, seed=1),
-                                        rng.standard_normal(6)), 2, 1, 0.4)
+    lifted = LiftedLoss(LinearLoss(make_gaussian_operator(2, 1, 6, seed=1),
+                                   rng.standard_normal(6)), 0.4)
     ob = make_onebit_loss(0.5 * m_star / np.abs(m_star).max())
     cases = ((lin, 1), (ScaledLoss(lin, 1.9), 1), (lifted, 1),
              (ScaledLoss(lifted, 0.8), 1), (ob, 16), (ScaledLoss(ob, 2.0), 16))

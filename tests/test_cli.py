@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +123,13 @@ def test_config_hash():
     # The output location does not define the experiment.
     d = ExperimentConfig(kind="sym-linear", n=8, r=1, p=40, out="/tmp/x")
     assert config_hash(a) == config_hash(d)
+    # Integer fields are stored as int whichever way they arrive, so a count
+    # given as a float or a numpy integer hashes like the parsed file value.
+    parsed = config_from_mapping({"kind": "onebit", "n": "4", "r": "1",
+                                  "max_iters": "1e5"})
+    direct = ExperimentConfig(kind="onebit", n=np.int64(4), r=1, max_iters=1e5)
+    assert type(direct.n) is int and type(direct.max_iters) is int
+    assert config_hash(direct) == config_hash(parsed)
 
 
 def test_derived_seeds():
@@ -153,7 +161,7 @@ def test_emit_plot_data(tmp_path):
     trace = gradient_descent(problem, np.full((1, 1), 0.2), eta=0.1,
                              max_iters=50, tol=1e-12)
     paths = emit_plot_data(trace, tmp_path / "plot")
-    texts = {p: open(p).read() for p in map(str, paths)}
+    texts = {str(p): Path(p).read_text() for p in paths}
     dist_lines = texts[str(tmp_path / "plot" / "dist.csv")].splitlines()
     assert dist_lines[0] == "t,dist"
     got = np.array([float(l.split(",")[1]) for l in dist_lines[1:]])
@@ -274,14 +282,44 @@ def test_main_run_eps_override(tmp_path):
     assert summary["config"]["eps_target"] == 1e-2
 
 
-def test_main_run_rejects_nonfinite_eps(tmp_path):
+def usage_error(capsys, argv):
+    """Run main on bad input; return its one-line stderr after exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def test_main_run_rejects_nonfinite_eps(tmp_path, capsys):
     cfg_path = tmp_path / "onebit.conf"
     cfg_path.write_text("kind = onebit\nn = 4\nr = 1\n")
     out_dir = tmp_path / "run"
     for bad in ("inf", "nan"):
-        with pytest.raises(ValueError, match="config key 'eps_target'"):
-            main(["run", str(cfg_path), "--out", str(out_dir), "--eps", bad])
+        err = usage_error(capsys, ["run", str(cfg_path), "--out", str(out_dir),
+                                   "--eps", bad])
+        assert err.startswith("ripgd run: error: config key 'eps_target'")
     assert not (out_dir / "summary.json").exists()
+
+
+def test_main_reports_bad_input_as_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.conf")
+    assert usage_error(capsys, ["run", missing]).startswith("ripgd run: error:")
+    assert "missing.conf" in usage_error(capsys, ["rip-estimate", missing])
+    bad = tmp_path / "bad.conf"
+    bad.write_text("kind = sym-linear\nn = 4\nr = 1\np = 10\nmax_iters = 4.5\n")
+    for command in ("run", "rip-estimate"):
+        assert usage_error(capsys, [command, str(bad)]) == (
+            "ripgd %s: error: config key 'max_iters' must be an integer, "
+            "got 4.5\n" % command)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("a,b\n1,2\n")
+    err = usage_error(capsys, ["plot-data", str(trace), "--out",
+                               str(tmp_path / "plot")])
+    assert err.startswith("ripgd plot-data: error: unrecognized trace header")
+    assert "No such file" in usage_error(
+        capsys, ["plot-data", str(tmp_path / "none.csv")])
 
 
 def test_main_rip_estimate(tmp_path, capsys):

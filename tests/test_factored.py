@@ -10,14 +10,11 @@ from ripgd.losses import (
     make_gaussian_operator,
 )
 from ripgd.factored import (
-    g_value,
     g_grad,
     g_value_and_grad,
-    g_hess_form,
     g_hess_min_eig,
     hess_matrix,
     LiftedLoss,
-    lift_asymmetric,
     balance_and_augment,
 )
 
@@ -35,6 +32,11 @@ def identity_loss(n, m_star):
     return LinearLoss(op, op.apply(m_star))
 
 
+def g_value(loss, X):
+    """The factored objective X -> loss(X X^T)."""
+    return loss.value(X @ X.T)
+
+
 def fd_g_grad(loss, X, h=1e-6):
     out = np.zeros_like(X)
     for i in range(X.shape[0]):
@@ -48,6 +50,15 @@ def fd_g_grad(loss, X, h=1e-6):
 def fd_g_quad(loss, X, U, h=1e-4):
     return (g_value(loss, X + h * U) - 2.0 * g_value(loss, X)
             + g_value(loss, X - h * U)) / h ** 2
+
+
+def g_hess_quad(loss, X, U):
+    """Factored Hessian form in direction U from the loss's own Hessian:
+    <K, H K> + 2 <grad f, U U^T> with M = X X^T and K = X U^T + U X^T."""
+    M = X @ X.T
+    K = X @ U.T + U @ X.T
+    return (loss.hess_gram(M, K[None])[0, 0]
+            + 2.0 * float(np.sum(loss.grad(M) * (U @ U.T))))
 
 
 def random_losses(rng, n):
@@ -73,9 +84,9 @@ def test_scalar_quartic_values():
 def test_factor_gradient_fd():
     rng = np.random.default_rng(10)
     lin, onebit = random_losses(rng, 4)
-    lifted = ScaledLoss(lift_asymmetric(LinearLoss(
+    lifted = ScaledLoss(LiftedLoss(LinearLoss(
         make_gaussian_operator(3, 2, 12, seed=3), rng.standard_normal(12)),
-        3, 2, phi=0.35), 1.6)
+        phi=0.35), 1.6)
     for loss, rows in ((lin, 4), (onebit, 4), (lifted, 5)):
         X = rng.standard_normal((rows, 2))
         g = g_grad(loss, X)
@@ -87,12 +98,14 @@ def test_factor_gradient_fd():
 
 
 def test_factor_hessian_fd():
+    # The dense factored Hessian against second differences of the value.
     rng = np.random.default_rng(11)
     lin, onebit = random_losses(rng, 3)
-    for loss in (lin, onebit):
+    for loss in (lin, onebit, ScaledLoss(onebit, 2.5), lifted_loss(rng)):
         X = rng.standard_normal((3, 2))
         U = rng.standard_normal((3, 2))
-        q = g_hess_form(loss, X, U)
+        u = U.reshape(-1, order="F")
+        q = float(u @ hess_matrix(loss, X) @ u)
         assert abs(q - fd_g_quad(loss, X, U)) <= 1e-3 * max(1.0, abs(q))
 
 
@@ -100,12 +113,12 @@ def lifted_loss(rng):
     """Scaled lift of a 2-by-1 linear loss: a square loss on 3 rows."""
     inner = LinearLoss(make_gaussian_operator(2, 1, 6, seed=5),
                        rng.standard_normal(6))
-    return ScaledLoss(lift_asymmetric(inner, 2, 1, phi=0.4), 1.7)
+    return ScaledLoss(LiftedLoss(inner, phi=0.4), 1.7)
 
 
 def test_hess_matrix_matches_form():
-    # The dense Hessian must reproduce the bilinear form under the
-    # column-major vec convention, for every loss kind.
+    # The dense Hessian must reproduce the factored Hessian form under the
+    # column-major vec convention, for every loss.
     rng = np.random.default_rng(13)
     lin, onebit = random_losses(rng, 3)
     scaled = ScaledLoss(onebit, 2.5)
@@ -117,20 +130,22 @@ def test_hess_matrix_matches_form():
             U = rng.standard_normal((3, 2))
             u = U.reshape(-1, order="F")
             assert float(u @ H @ u) == pytest.approx(
-                g_hess_form(loss, X, U), rel=1e-9)
+                g_hess_quad(loss, X, U), rel=1e-9)
 
 
-def test_hess_matrix_generic_path_matches_gram_path():
-    # Every batched Gram must agree with the generic double loop over
-    # hess_form that MatrixLoss provides for losses without one.
+def test_hess_gram_matches_grad_differences():
+    # Entry (i, j) of every loss's Hessian Gram against the central
+    # difference of the gradient along dirs[j], paired with dirs[i].
     rng = np.random.default_rng(14)
     lin, onebit = random_losses(rng, 3)
+    h = 1e-5
     for loss in (lin, onebit, ScaledLoss(lin, 0.7), lifted_loss(rng)):
         M = rng.standard_normal((3, 3))
         dirs = rng.standard_normal((5, 3, 3))
-        np.testing.assert_allclose(loss.hess_gram(M, dirs),
-                                   MatrixLoss.hess_gram(loss, M, dirs),
-                                   rtol=1e-10, atol=1e-12)
+        diffs = [(loss.grad(M + h * L) - loss.grad(M - h * L)) / (2 * h)
+                 for L in dirs]
+        fd = np.array([[np.sum(K * D) for D in diffs] for K in dirs])
+        np.testing.assert_allclose(loss.hess_gram(M, dirs), fd, rtol=1e-6)
 
 
 def test_min_eig_at_zero_factor():
@@ -154,10 +169,10 @@ def test_hess_matrix_size_limit():
 def test_factor_shape_validation():
     loss = scalar_loss()
     with pytest.raises(ValueError):
-        g_value(loss, np.zeros((2, 1)))
+        g_grad(loss, np.zeros((2, 1)))
     rect = LinearLoss(make_gaussian_operator(3, 2, 4, seed=0), np.zeros(4))
     with pytest.raises(ValueError):
-        g_value(rect, np.zeros((3, 1)))
+        g_grad(rect, np.zeros((3, 1)))
 
 
 def test_lifted_loss_blocks():
@@ -168,7 +183,7 @@ def test_lifted_loss_blocks():
     d = rng.standard_normal(10)
     inner = LinearLoss(op, d)
     phi = 0.45
-    lifted = lift_asymmetric(inner, 3, 2, phi)
+    lifted = LiftedLoss(inner, phi)
     assert lifted.n == lifted.m == 5
     U = rng.standard_normal((3, 2))
     V = rng.standard_normal((2, 2))
@@ -187,7 +202,7 @@ def test_lifted_loss_fd():
     rng = np.random.default_rng(17)
     op = make_gaussian_operator(3, 2, 10, seed=8)
     inner = LinearLoss(op, rng.standard_normal(10))
-    lifted = lift_asymmetric(inner, 3, 2, 0.3)
+    lifted = LiftedLoss(inner, 0.3)
     N = rng.standard_normal((5, 5))
     g = lifted.grad(N)
     eps = 1e-6
@@ -204,9 +219,11 @@ def test_lifted_loss_fd():
     h = 1e-4
     quad = lambda W: lifted.value(N + h * W)
     q_uu = (quad(K) - 2 * lifted.value(N) + lifted.value(N - h * K)) / h ** 2
-    assert abs(lifted.hess_form(N, K, K) - q_uu) <= 1e-3 * max(1.0, abs(q_uu))
-    sym = lifted.hess_form(N, K, L)
-    assert sym == pytest.approx(lifted.hess_form(N, L, K), rel=1e-10)
+    G = lifted.hess_gram(N, np.stack([K, L]))
+    assert abs(G[0, 0] - q_uu) <= 1e-3 * max(1.0, abs(q_uu))
+    sym = G[0, 1]
+    assert sym == pytest.approx(lifted.hess_gram(N, np.stack([L, K]))[0, 1],
+                                rel=1e-10)
 
 
 class CountingLoss(MatrixLoss):
@@ -249,7 +266,7 @@ def test_lifted_loss_single_inner_evaluation():
     base = LinearLoss(make_gaussian_operator(10, 8, 220, seed=9),
                       rng.standard_normal(220))
     counted = CountingLoss(base)
-    lifted = lift_asymmetric(counted, 10, 8, 0.4)
+    lifted = LiftedLoss(counted, 0.4)
     X = rng.standard_normal((18, 5))
     N = X @ X.T
     want_v, want_g = two_evaluation_lift(base, 0.4, N)
@@ -268,7 +285,7 @@ def test_lifted_loss_asymmetric_input_evaluates_both_blocks():
                       rng.standard_normal(10))
     counted = CountingLoss(base)
     phi = 0.3
-    lifted = lift_asymmetric(counted, 3, 2, phi)
+    lifted = LiftedLoss(counted, phi)
     N = rng.standard_normal((5, 5))
     want_v, want_g = two_evaluation_lift(base, phi, N)
     v, g = lifted.value_and_grad(N)
@@ -287,8 +304,6 @@ def test_lifted_loss_asymmetric_input_evaluates_both_blocks():
 def test_lifted_validation():
     op = make_gaussian_operator(3, 2, 4, seed=0)
     inner = LinearLoss(op, np.zeros(4))
-    with pytest.raises(ValueError):
-        lift_asymmetric(inner, 2, 3, 0.5)
     with pytest.raises(ValueError):
         LiftedLoss(inner, 0.0)
 
@@ -310,7 +325,7 @@ def test_balance_and_augment():
     # Lifted objective vanishes at the balanced augmented truth.
     op = make_gaussian_operator(5, 4, 30, seed=4)
     inner = LinearLoss(op, op.apply(m_star))
-    lifted = lift_asymmetric(inner, 5, 4, 0.5)
+    lifted = LiftedLoss(inner, 0.5)
     x_tilde = np.vstack([u_star, v_star])
     assert g_value(lifted, x_tilde) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):

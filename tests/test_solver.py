@@ -101,8 +101,10 @@ def test_gradient_descent_max_iters():
 
 def test_gradient_descent_divergence_raises():
     problem = scalar_problem(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="non-finite"):
-        gradient_descent(problem, np.full((1, 1), 1.5), eta=10.0, max_iters=100)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="non-finite"):
+            gradient_descent(problem, np.full((1, 1), 1.5), eta=10.0,
+                             max_iters=100)
 
 
 def test_gradient_descent_validation():
