@@ -34,6 +34,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields
 
@@ -93,7 +94,9 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if value is None or f.type is str:
                 continue
-            if not math.isfinite(value):
+            # An integer is finite at any size; math.isfinite would overflow
+            # converting a seed of more than 308 digits to float.
+            if not isinstance(value, numbers.Integral) and not math.isfinite(value):
                 raise ValueError("config key %r must be finite, got %r"
                                  % (f.name, value))
             if f.type is int and value != int(value):
@@ -456,7 +459,7 @@ def run_experiment(config):
             "final_grad_norm": float(trace.grad_norm[-1]),
             "final_dist": float(trace.dist[-1]),
             "stop_reason": trace.stop_reason,
-            "phase1_complete": bool(trace.phase1_complete),
+            "phase1_complete": trace.phase1_complete,
         },
     }
     trace.to_csv(os.path.join(out_dir, "trace.csv"))

@@ -1,22 +1,23 @@
 """Gradient descent and perturbed gradient descent on factored objectives.
 
-``perturbed_gd`` runs the two-phase scheme: a first phase of plain descent
-that injects a small uniform-ball perturbation whenever the gradient is
-nearly stationary, escaping strict saddles, followed by a second phase of
-plain descent once a perturbation fails to make progress.  All derived
-constants live in ``PgdParams`` and are computed by ``pgd_params`` from the
-problem constants and three user choices (c, kappa, gamma).
+Both solvers run one descent loop.  ``perturbed_gd`` starts it in phase 1:
+plain descent that injects a small uniform-ball perturbation whenever the
+gradient is nearly stationary, escaping strict saddles, until a
+perturbation fails to make progress and phase 2, plain descent, takes over.
+``gradient_descent`` is phase 2 run from the start, with no perturbation
+state and an optional gradient-norm stop.  All derived constants live in
+``PgdParams`` and are computed by ``pgd_params`` from the problem constants
+and three user choices (c, kappa, gamma).  Each run returns a ``Trace``,
+whose column fields also fix the ``trace.csv`` layout.
 """
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field, fields
 
 import numpy as np
 
 from . import rip
 from .factored import g_value_and_grad, g_grad
-
-TRACE_HEADER = "t,f,grad_norm,dist,in_region,perturbed,phase"
 
 
 @dataclass
@@ -84,6 +85,11 @@ def pgd_params(problem, c, kappa, gamma, n, r):
     )
 
 
+def _column(dtype):
+    """A trace column: one entry per row, stored as an array of ``dtype``."""
+    return field(metadata={"dtype": dtype})
+
+
 @dataclass
 class Trace:
     """Per-iteration record of a descent run.
@@ -93,17 +99,16 @@ class Trace:
     steps plus one.
     """
 
-    t: np.ndarray
-    f: np.ndarray
-    grad_norm: np.ndarray
-    dist: np.ndarray
-    in_region: np.ndarray
-    perturbed: np.ndarray
-    phase: np.ndarray
+    t: np.ndarray = _column(int)
+    f: np.ndarray = _column(float)
+    grad_norm: np.ndarray = _column(float)
+    dist: np.ndarray = _column(float)
+    in_region: np.ndarray = _column(bool)
+    perturbed: np.ndarray = _column(bool)
+    phase: np.ndarray = _column(int)
     eta: float = float("nan")
     x_final: np.ndarray = None
     stop_reason: str = ""
-    phase1_complete: bool = True
 
     def __len__(self):
         return len(self.t)
@@ -122,18 +127,21 @@ class Trace:
         hits = np.flatnonzero(self.phase == 2)
         return int(hits[0]) if len(hits) else None
 
+    @property
+    def phase1_complete(self):
+        return bool(self.phase[-1] == 2)
+
+    @classmethod
+    def _from_columns(cls, cols, **extra):
+        """Build a trace from one sequence per column, in column order."""
+        return cls(**{name: np.array(col, dtype=dtype)
+                      for (name, dtype), col in zip(_COLUMNS, cols)}, **extra)
+
     def to_csv(self, path):
+        cols = [getattr(self, name).tolist() for name, _ in _COLUMNS]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(TRACE_HEADER + "\n")
-            for i in range(len(self.t)):
-                fh.write(
-                    "%d,%.17g,%.17g,%.17g,%d,%d,%d\n"
-                    % (
-                        self.t[i], self.f[i], self.grad_norm[i], self.dist[i],
-                        int(self.in_region[i]), int(self.perturbed[i]),
-                        self.phase[i],
-                    )
-                )
+            fh.writelines(_ROW_FORMAT % row for row in zip(*cols))
 
     @classmethod
     def from_csv(cls, path):
@@ -141,53 +149,88 @@ class Trace:
             header = fh.readline().strip()
             if header != TRACE_HEADER:
                 raise ValueError("unrecognized trace header %r" % header)
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+            rows = []
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                row = line.strip().split(",")
+                if len(row) != len(_COLUMNS):
+                    raise ValueError("trace line %d has %d fields, expected %d"
+                                     % (lineno, len(row), len(_COLUMNS)))
+                rows.append(row)
         if not rows:
             raise ValueError("trace file has no rows")
-        cols = list(zip(*rows))
-        return cls(
-            t=np.array([int(v) for v in cols[0]]),
-            f=np.array([float(v) for v in cols[1]]),
-            grad_norm=np.array([float(v) for v in cols[2]]),
-            dist=np.array([float(v) for v in cols[3]]),
-            in_region=np.array([bool(int(v)) for v in cols[4]]),
-            perturbed=np.array([bool(int(v)) for v in cols[5]]),
-            phase=np.array([int(v) for v in cols[6]]),
-        )
+        # Integer and bool columns parse through int: bool("0") is True.
+        return cls._from_columns(
+            [[(float if dtype is float else int)(v) for v in col]
+             for (_, dtype), col in zip(_COLUMNS, zip(*rows))])
 
 
-class _Recorder:
-    def __init__(self, region_radius, eta):
-        self.rows = []
-        self.region_radius = region_radius
-        self.eta = eta
+_COLUMNS = tuple((f.name, f.metadata["dtype"]) for f in fields(Trace)
+                 if f.metadata)
+TRACE_HEADER = ",".join(name for name, _ in _COLUMNS)
+_ROW_FORMAT = ",".join("%.17g" if dtype is float else "%d"
+                       for _, dtype in _COLUMNS) + "\n"
 
-    def add(self, t, f, grad_norm, dist, perturbed, phase):
-        if not (math.isfinite(f) and math.isfinite(grad_norm)):
+
+def _descend(problem, X, eta, max_iters, eps_target, tol=None, params=None,
+             seed=0):
+    """The descent loop behind both solvers; see ``perturbed_gd``.
+
+    Without ``params`` the run starts in phase 2 with no perturbation state.
+    It stops once the gradient norm falls to ``tol`` (when given), a
+    phase-2 row has recovery error at most ``eps_target`` (when given), or
+    after ``max_iters`` steps.  A non-finite objective or gradient raises
+    before its row is recorded.
+    """
+    loss, m_star = problem.loss, problem.m_star
+    radius = rip.local_region_sym(problem.delta, problem.sigma_r)
+    phase = 2 if params is None else 1
+    if phase == 1:
+        rng = np.random.default_rng(seed)
+        t_window = max(1, math.ceil(params.t_thres))
+        t_noise = -t_window - 1
+        saved_x = None
+        saved_f = np.inf
+    rows = []
+    stop = "max_iters"
+    t = 0
+    while True:
+        val, grad = g_value_and_grad(loss, X)
+        perturbed = False
+        if phase == 1:
+            gn = float(np.linalg.norm(grad))
+            if gn <= params.g_thres and t - t_noise > t_window:
+                saved_x = X.copy()
+                saved_f = val
+                t_noise = t
+                X = X + _ball_noise(rng, X.shape, params.w)
+                perturbed = True
+                val, grad = g_value_and_grad(loss, X)
+            elif t - t_noise == t_window and val - saved_f > -params.f_thres:
+                # The perturbation bought no decrease: restore and switch
+                # to the plain descent phase.
+                X = saved_x
+                phase = 2
+                val = saved_f
+                grad = g_grad(loss, X)
+        gn = float(np.linalg.norm(grad))
+        dist = float(np.linalg.norm(X @ X.T - m_star))
+        if not (math.isfinite(val) and math.isfinite(gn)):
             raise ValueError("non-finite objective or gradient at iteration %d" % t)
-        self.rows.append(
-            (t, f, grad_norm, dist, dist < self.region_radius, perturbed, phase)
-        )
-
-    def freeze(self, x_final, stop_reason, phase1_complete):
-        cols = list(zip(*self.rows))
-        return Trace(
-            t=np.array(cols[0], dtype=int),
-            f=np.array(cols[1], dtype=float),
-            grad_norm=np.array(cols[2], dtype=float),
-            dist=np.array(cols[3], dtype=float),
-            in_region=np.array(cols[4], dtype=bool),
-            perturbed=np.array(cols[5], dtype=bool),
-            phase=np.array(cols[6], dtype=int),
-            eta=self.eta,
-            x_final=x_final,
-            stop_reason=stop_reason,
-            phase1_complete=phase1_complete,
-        )
-
-
-def _region_radius(problem):
-    return rip.local_region_sym(problem.delta, problem.sigma_r)
+        rows.append((t, val, gn, dist, dist < radius, perturbed, phase))
+        if tol is not None and gn <= tol:
+            stop = "grad_tol"
+            break
+        if phase == 2 and eps_target is not None and dist <= eps_target:
+            stop = "eps_target"
+            break
+        if t >= max_iters:
+            break
+        X = X - eta * grad
+        t += 1
+    return Trace._from_columns(zip(*rows), eta=eta, x_final=X,
+                               stop_reason=stop)
 
 
 def gradient_descent(problem, x0, eta, max_iters=10000, tol=1e-8,
@@ -203,27 +246,8 @@ def gradient_descent(problem, x0, eta, max_iters=10000, tol=1e-8,
         raise ValueError("step size must be positive")
     if eps_target is not None and eps_target <= 0:
         raise ValueError("eps_target must be positive")
-    X = np.array(x0, dtype=float)
-    rec = _Recorder(_region_radius(problem), eta)
-    loss, m_star = problem.loss, problem.m_star
-    stop = "max_iters"
-    t = 0
-    while True:
-        val, grad = g_value_and_grad(loss, X)
-        gn = float(np.linalg.norm(grad))
-        dist = float(np.linalg.norm(X @ X.T - m_star))
-        rec.add(t, val, gn, dist, False, 2)
-        if gn <= tol:
-            stop = "grad_tol"
-            break
-        if eps_target is not None and dist <= eps_target:
-            stop = "eps_target"
-            break
-        if t >= max_iters:
-            break
-        X = X - eta * grad
-        t += 1
-    return rec.freeze(X, stop, True)
+    return _descend(problem, np.array(x0, dtype=float), eta, max_iters,
+                    eps_target, tol=tol)
 
 
 def _ball_noise(rng, shape, radius):
@@ -255,46 +279,8 @@ def perturbed_gd(problem, x0, params, eps_target, max_iters=100000, seed=0):
     X = np.array(x0, dtype=float)
     if np.linalg.norm(X @ X.T) > problem.bound_d * (1 + 1e-12):
         raise ValueError("initial point violates the norm bound")
-    rng = np.random.default_rng(seed)
-    loss, m_star = problem.loss, problem.m_star
-    rec = _Recorder(_region_radius(problem), params.eta)
-    t_window = max(1, math.ceil(params.t_thres))
-    t = 0
-    t_noise = -t_window - 1
-    saved_x = None
-    saved_f = np.inf
-    phase = 1
-    stop = "max_iters"
-    while True:
-        val, grad = g_value_and_grad(loss, X)
-        perturbed = False
-        if phase == 1:
-            gn = float(np.linalg.norm(grad))
-            if gn <= params.g_thres and t - t_noise > t_window:
-                saved_x = X.copy()
-                saved_f = val
-                t_noise = t
-                X = X + _ball_noise(rng, X.shape, params.w)
-                perturbed = True
-                val, grad = g_value_and_grad(loss, X)
-            elif t - t_noise == t_window and val - saved_f > -params.f_thres:
-                # The perturbation bought no decrease: restore and switch
-                # to the plain descent phase.
-                X = saved_x
-                phase = 2
-                val = saved_f
-                grad = g_grad(loss, X)
-        gn = float(np.linalg.norm(grad))
-        dist = float(np.linalg.norm(X @ X.T - m_star))
-        rec.add(t, val, gn, dist, perturbed, phase)
-        if phase == 2 and dist <= eps_target:
-            stop = "eps_target"
-            break
-        if t >= max_iters:
-            break
-        X = X - params.eta * grad
-        t += 1
-    return rec.freeze(X, stop, phase == 2)
+    return _descend(problem, X, params.eta, max_iters, eps_target,
+                    params=params, seed=seed)
 
 
 def descent_violation(trace, eta=None):
@@ -305,13 +291,11 @@ def descent_violation(trace, eta=None):
     everywhere.
     """
     eta = trace.eta if eta is None else eta
-    worst = -np.inf
-    for i in range(len(trace) - 1):
-        if trace.perturbed[i + 1] or trace.phase[i + 1] != trace.phase[i]:
-            continue
-        bound = trace.f[i] - 0.5 * eta * trace.grad_norm[i] ** 2
-        worst = max(worst, trace.f[i + 1] - bound)
-    return worst
+    kept = ~trace.perturbed[1:] & (trace.phase[1:] == trace.phase[:-1])
+    if not kept.any():
+        return -np.inf
+    bound = trace.f[:-1] - 0.5 * eta * trace.grad_norm[:-1] ** 2
+    return float(np.max((trace.f[1:] - bound)[kept]))
 
 
 def level_set_violation(trace, problem):

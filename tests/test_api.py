@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import re
 import subprocess
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import ripgd
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_all_names_resolve():
@@ -41,3 +43,23 @@ def test_cli_import_defers_scipy_special():
     # raises no runpy warning, even with warnings as errors.
     subprocess.run([sys.executable, "-W", "error", "-m", "ripgd.cli", "--help"],
                    check=True, env=env, stdout=subprocess.DEVNULL)
+
+
+def test_benchmark_traced_names_exist():
+    # perfbench replaces these callables by name and refuses to run if one
+    # is gone; renaming one in ripgd must fail here, not only in the
+    # traced benchmark.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    entries = [entry for group in tracing.TRACED.values() for entry in group]
+    missing = []
+    for module_name, path in entries + tracing.SolveClock.ENTRIES:
+        owner = importlib.import_module(module_name)
+        owner_path, _, attr = path.rpartition(".")
+        if owner_path:
+            owner = getattr(owner, owner_path)
+        if attr not in vars(owner):
+            missing.append("%s.%s" % (module_name, path))
+    assert missing == []

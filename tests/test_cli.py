@@ -7,7 +7,7 @@ import pytest
 
 from ripgd.losses import LinearOperator, LinearLoss, RecoveryProblem, onebit_rho2
 from ripgd.rip import local_region_sym
-from ripgd.solver import Trace, pgd_params, gradient_descent
+from ripgd.solver import TRACE_HEADER, Trace, pgd_params, gradient_descent
 from ripgd.cli import (
     ExperimentConfig,
     config_hash,
@@ -109,6 +109,11 @@ def test_config_validation():
         ExperimentConfig(kind="onebit", n=6, r=2, eta=math.inf)
     with pytest.raises(ValueError, match="config key 'max_iters' must be finite"):
         ExperimentConfig(**{**good, "max_iters": math.inf})
+    # Integers are exact at any size: a 400-digit seed is a valid seed.
+    huge = ExperimentConfig(kind="onebit", n=4, r=1, seed=10 ** 400)
+    assert huge.seed == 10 ** 400 and len(config_hash(huge)) == 64
+    problem, x0, _, _ = build_instance(huge)
+    assert np.isfinite(x0).all() and problem.m_star.shape == (4, 4)
     with pytest.raises(ValueError, match="config key 'max_iters' must be an integer"):
         ExperimentConfig(**{**good, "max_iters": 2.5})
 
@@ -318,6 +323,9 @@ def test_main_reports_bad_input_as_usage_error(tmp_path, capsys):
     err = usage_error(capsys, ["plot-data", str(trace), "--out",
                                str(tmp_path / "plot")])
     assert err.startswith("ripgd plot-data: error: unrecognized trace header")
+    trace.write_text(TRACE_HEADER + "\n0,1.0,2.0\n")
+    assert usage_error(capsys, ["plot-data", str(trace)]) == (
+        "ripgd plot-data: error: trace line 2 has 3 fields, expected 7\n")
     assert "No such file" in usage_error(
         capsys, ["plot-data", str(tmp_path / "none.csv")])
 

@@ -129,11 +129,60 @@ def test_perturbed_gd_escapes_origin(saddle_run):
     assert np.all(trace.phase[: trace.phase2_start] == 1)
 
 
+def test_perturbed_gd_budget_spent_in_phase_one():
+    # The revert window is about 15,500 steps, so 50 steps end in phase 1.
+    problem = scalar_problem(1.0, 0.0, 1.0)
+    params = pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1, n=1, r=1)
+    trace = perturbed_gd(problem, np.zeros((1, 1)), params, eps_target=1e-6,
+                         max_iters=50, seed=3)
+    assert trace.stop_reason == "max_iters"
+    assert trace.phase1_complete is False
+    assert trace.phase2_start is None
+    assert len(trace) == 51
+
+
 def test_perturbed_gd_trace_inequalities(saddle_run):
     problem, params, trace = saddle_run
     assert descent_violation(trace) <= 1e-12
     assert level_set_violation(trace, problem) <= 1e-6
     assert confinement_violation(trace, params) <= 0.0
+
+
+def descent_violation_loop(trace, eta):
+    # The row-by-row reference for the vectorized descent_violation.
+    worst = -np.inf
+    for i in range(len(trace) - 1):
+        if trace.perturbed[i + 1] or trace.phase[i + 1] != trace.phase[i]:
+            continue
+        bound = trace.f[i] - 0.5 * eta * trace.grad_norm[i] ** 2
+        worst = max(worst, trace.f[i + 1] - bound)
+    return worst
+
+
+def test_descent_violation_skips_perturbations_and_phase_switches(saddle_run):
+    # With eta = 1 the bound after row i is f[i] - grad_norm[i]^2 / 2.  The
+    # steps into row 3 (perturbed) and row 5 (phase switch) would violate
+    # it by about 93 and 101; the worst counted step is 1 -> 2, by 0.25.
+    trace = Trace(
+        t=np.arange(7),
+        f=np.array([10.0, 7.5, 7.25, 100.0, 99.0, 200.0, 197.0]),
+        grad_norm=np.array([2.0, 1.0, 0.0, 0.0, 0.0, 2.0, 0.0]),
+        dist=np.zeros(7),
+        in_region=np.zeros(7, dtype=bool),
+        perturbed=np.array([0, 0, 0, 1, 0, 0, 0], dtype=bool),
+        phase=np.array([1, 1, 1, 1, 1, 2, 2]),
+        eta=1.0,
+    )
+    assert descent_violation(trace) == 0.25
+    assert descent_violation(trace, eta=3.0) == 3.5
+    first = {name: getattr(trace, name)[:1] for name in TRACE_HEADER.split(",")}
+    assert descent_violation(Trace(**first)) == -np.inf
+    # Same arithmetic as the loop, so equal bits on a run with a
+    # perturbation and a phase switch.
+    run = saddle_run[2]
+    assert run.perturbed.any() and run.phase2_start
+    for eta in (run.eta, 0.3):
+        assert descent_violation(run, eta) == descent_violation_loop(run, eta)
 
 
 def test_perturbed_gd_deterministic():
@@ -185,3 +234,13 @@ def test_trace_csv_errors(tmp_path):
     empty.write_text(TRACE_HEADER + "\n")
     with pytest.raises(ValueError, match="no rows"):
         Trace.from_csv(empty)
+    short = tmp_path / "short.csv"
+    short.write_text(TRACE_HEADER + "\n0,1,0.5,0.25,0,1,2\n\n0,1.0,2.0\n")
+    with pytest.raises(ValueError, match="trace line 4 has 3 fields, expected 7"):
+        Trace.from_csv(short)
+    # Bool columns parse through int, so "0" reads as False.
+    short.write_text(TRACE_HEADER + "\n0,1,0.5,0.25,0,1,2\n")
+    back = Trace.from_csv(short)
+    assert back.in_region.tolist() == [False]
+    assert back.perturbed.tolist() == [True]
+    assert back.phase1_complete
