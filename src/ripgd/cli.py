@@ -102,7 +102,14 @@ class ExperimentConfig:
             if f.type is int and value != int(value):
                 raise ValueError("config key %r must be an integer, got %r"
                                  % (f.name, value))
-            setattr(self, f.name, f.type(value))
+            try:
+                value = f.type(value)
+            except OverflowError:
+                # An integer beyond the float range, where a parsed file
+                # value would have become inf.
+                raise ValueError("config key %r must be finite, got an integer "
+                                 "beyond the float range" % f.name) from None
+            setattr(self, f.name, value)
         if self.kind not in KINDS:
             raise ValueError("kind must be one of %s" % (KINDS,))
         if self.n is None or self.r is None:

@@ -32,9 +32,15 @@ def g_grad(loss, X):
 
 
 def g_value_and_grad(loss, X):
+    """Value, gradient and N = X X^T of X -> loss(X X^T).
+
+    N is the matrix the loss was evaluated at; the solver reuses it for the
+    recovery error instead of forming X X^T a second time.
+    """
     X = _check_factor(loss, X)
-    v, W = loss.value_and_grad(X @ X.T)
-    return v, (W + W.T) @ X
+    N = X @ X.T
+    v, W = loss.value_and_grad(N)
+    return v, (W + W.T) @ X, N
 
 
 def _basis_images(X):
@@ -133,8 +139,8 @@ class LiftedLoss(MatrixLoss):
         else:
             v21, g21 = self.inner.value_and_grad(b21.T)
         bal = (
-            np.sum(b11 * b11) + np.sum(b22 * b22)
-            - np.sum(b12 * b12) - np.sum(b21 * b21)
+            (b11 * b11).sum() + (b22 * b22).sum()
+            - (b12 * b12).sum() - (b21 * b21).sum()
         )
         val = 0.5 * (v12 + v21) + 0.25 * self.phi * bal
         return float(val), self._assemble_grad(M, g12, g21)

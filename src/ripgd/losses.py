@@ -177,7 +177,7 @@ class OneBitLoss(MatrixLoss):
     def value(self, M):
         M = self._check(M)
         # logaddexp keeps log(1 + exp(M)) finite for large |M|.
-        return self.scale * float(np.sum(np.logaddexp(0.0, M) - self.y * M))
+        return self.scale * float((np.logaddexp(0.0, M) - self.y * M).sum())
 
     def grad(self, M):
         M = self._check(M)

@@ -173,6 +173,15 @@ _ROW_FORMAT = ",".join("%.17g" if dtype is float else "%d"
                        for _, dtype in _COLUMNS) + "\n"
 
 
+def _norm(a):
+    """Frobenius norm, bit-equal to ``np.linalg.norm(a)`` for real ``a``.
+
+    numpy's own ``ord=None`` arithmetic, without the wrapper's overhead.
+    """
+    a = a.ravel(order="K")
+    return math.sqrt(a.dot(a))
+
+
 def _descend(problem, X, eta, max_iters, eps_target, tol=None, params=None,
              seed=0):
     """The descent loop behind both solvers; see ``perturbed_gd``.
@@ -190,32 +199,33 @@ def _descend(problem, X, eta, max_iters, eps_target, tol=None, params=None,
         rng = np.random.default_rng(seed)
         t_window = max(1, math.ceil(params.t_thres))
         t_noise = -t_window - 1
-        saved_x = None
+        saved_x = saved_n = None
         saved_f = np.inf
     rows = []
     stop = "max_iters"
     t = 0
     while True:
-        val, grad = g_value_and_grad(loss, X)
+        # N = X X^T, formed once per step and reused for the distance.
+        val, grad, N = g_value_and_grad(loss, X)
         perturbed = False
         if phase == 1:
-            gn = float(np.linalg.norm(grad))
+            gn = _norm(grad)
             if gn <= params.g_thres and t - t_noise > t_window:
-                saved_x = X.copy()
+                saved_x, saved_n = X.copy(), N
                 saved_f = val
                 t_noise = t
                 X = X + _ball_noise(rng, X.shape, params.w)
                 perturbed = True
-                val, grad = g_value_and_grad(loss, X)
+                val, grad, N = g_value_and_grad(loss, X)
             elif t - t_noise == t_window and val - saved_f > -params.f_thres:
                 # The perturbation bought no decrease: restore and switch
                 # to the plain descent phase.
-                X = saved_x
+                X, N = saved_x, saved_n
                 phase = 2
                 val = saved_f
                 grad = g_grad(loss, X)
-        gn = float(np.linalg.norm(grad))
-        dist = float(np.linalg.norm(X @ X.T - m_star))
+        gn = _norm(grad)
+        dist = _norm(N - m_star)
         if not (math.isfinite(val) and math.isfinite(gn)):
             raise ValueError("non-finite objective or gradient at iteration %d" % t)
         rows.append((t, val, gn, dist, dist < radius, perturbed, phase))

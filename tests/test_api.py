@@ -5,7 +5,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import ripgd
+from ripgd.losses import (
+    LinearLoss,
+    LinearOperator,
+    RecoveryProblem,
+    make_onebit_loss,
+    onebit_rho2,
+)
+from ripgd.solver import gradient_descent, perturbed_gd, pgd_params
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -45,14 +55,19 @@ def test_cli_import_defers_scipy_special():
                    check=True, env=env, stdout=subprocess.DEVNULL)
 
 
-def test_benchmark_traced_names_exist():
-    # perfbench replaces these callables by name and refuses to run if one
-    # is gone; renaming one in ripgd must fail here, not only in the
-    # traced benchmark.
+def load_tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_traced_names_exist():
+    # perfbench replaces these callables by name and refuses to run if one
+    # is gone; renaming one in ripgd must fail here, not only in the
+    # traced benchmark.
+    tracing = load_tracing()
     entries = [entry for group in tracing.TRACED.values() for entry in group]
     missing = []
     for module_name, path in entries + tracing.SolveClock.ENTRIES:
@@ -63,3 +78,40 @@ def test_benchmark_traced_names_exist():
         if attr not in vars(owner):
             missing.append("%s.%s" % (module_name, path))
     assert missing == []
+
+
+def test_benchmark_tracer_sees_every_loss_evaluation():
+    # The benchmark's gate fails when a traced layer records no calls, and
+    # an override (say OneBitLoss.value_and_grad) would hide the wrapped
+    # MatrixLoss method.  Both spans must see one call per trace row plus
+    # one per perturbation, on the 1-bit gd path and the linear pgd path.
+    tracing = load_tracing()
+    m_hat = np.array([[1.0, 0.5, -0.25], [0.5, 0.25, -0.125],
+                      [-0.25, -0.125, 0.0625]])
+    x0 = np.full((3, 1), 0.3)
+    onebit = RecoveryProblem(make_onebit_loss(m_hat), m_hat, 1, 0.5, 2.0,
+                             onebit_rho2(6.0), np.linalg.norm(m_hat))
+    # (x^2 - 1)^2 / 2 from the saddle x = 0: perturbations, then a revert.
+    op = LinearOperator(np.ones((1, 1, 1)))
+    scalar = RecoveryProblem(LinearLoss(op, np.ones(1)), np.ones((1, 1)), 1,
+                             0.0, 1.0, 0.0, 1.0)
+    params = pgd_params(scalar, c=0.5, kappa=1.0, gamma=0.1, n=1, r=1)
+    runs = [
+        lambda: gradient_descent(onebit, x0, eta=0.05, max_iters=40, tol=0.0),
+        lambda: perturbed_gd(scalar, np.zeros((1, 1)), params,
+                             eps_target=1e-6, max_iters=20000, seed=3),
+    ]
+    for run in runs:
+        tracer = tracing.Tracer()
+        patches = tracing.Patches()
+        try:
+            tracer.install(patches)
+            trace = run()
+        finally:
+            patches.restore()
+        names = [tracer.names[i] for i in tracer.name]
+        expected = len(trace) + int(trace.perturbed.sum())
+        assert names.count("factored.value_and_grad") == expected
+        assert names.count("losses.value_and_grad") == expected
+    # The pgd run took both the perturbation and the revert branch.
+    assert trace.perturbed.any() and trace.phase2_start

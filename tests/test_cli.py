@@ -109,6 +109,12 @@ def test_config_validation():
         ExperimentConfig(kind="onebit", n=6, r=2, eta=math.inf)
     with pytest.raises(ValueError, match="config key 'max_iters' must be finite"):
         ExperimentConfig(**{**good, "max_iters": math.inf})
+    # An integer beyond the float range in a float field is refused like the
+    # inf a config file parses the same digits to.
+    for key in ("c", "eps_target"):
+        with pytest.raises(ValueError, match="config key '%s' must be finite"
+                           % key):
+            ExperimentConfig(kind="onebit", n=4, r=1, **{key: 10 ** 400})
     # Integers are exact at any size: a 400-digit seed is a valid seed.
     huge = ExperimentConfig(kind="onebit", n=4, r=1, seed=10 ** 400)
     assert huge.seed == 10 ** 400 and len(config_hash(huge)) == 64
@@ -318,6 +324,9 @@ def test_main_reports_bad_input_as_usage_error(tmp_path, capsys):
         assert usage_error(capsys, [command, str(bad)]) == (
             "ripgd %s: error: config key 'max_iters' must be an integer, "
             "got 4.5\n" % command)
+    bad.write_text("kind = onebit\nn = 4\nr = 1\nc = 1%s\n" % ("0" * 400))
+    assert usage_error(capsys, ["run", str(bad)]) == (
+        "ripgd run: error: config key 'c' must be finite, got inf\n")
     trace = tmp_path / "trace.csv"
     trace.write_text("a,b\n1,2\n")
     err = usage_error(capsys, ["plot-data", str(trace), "--out",

@@ -92,9 +92,11 @@ def test_factor_gradient_fd():
         g = g_grad(loss, X)
         g_fd = fd_g_grad(loss, X)
         assert np.linalg.norm(g - g_fd) <= 1e-4 * max(1.0, np.linalg.norm(g))
-        v, gg = g_value_and_grad(loss, X)
+        v, gg, N = g_value_and_grad(loss, X)
         assert v == pytest.approx(g_value(loss, X))
         np.testing.assert_allclose(gg, g, rtol=1e-12)
+        # N is the matrix the loss was evaluated at, the solver's distance.
+        np.testing.assert_array_equal(N, X @ X.T)
 
 
 def test_factor_hessian_fd():

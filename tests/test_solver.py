@@ -1,7 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from ripgd.losses import LinearOperator, LinearLoss, RecoveryProblem
+from ripgd import rip, solver
+from ripgd.factored import g_grad, g_value_and_grad
+from ripgd.losses import (
+    LinearOperator,
+    LinearLoss,
+    RecoveryProblem,
+    make_onebit_loss,
+    onebit_rho2,
+)
 from ripgd.solver import (
     TRACE_HEADER,
     Trace,
@@ -20,6 +30,18 @@ def scalar_problem(m_val, delta, rho1, rho2=0.0, bound_d=1.0):
     m_star = np.array([[m_val]])
     loss = LinearLoss(op, op.apply(m_star))
     return RecoveryProblem(loss, m_star, 1, delta, rho1, rho2, bound_d)
+
+
+def onebit_problem(n=5, r=2, seed=0):
+    # A small full-observation 1-bit instance with a rank-r truth.
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-1.0, 1.0, (n, r))
+    m_hat = z @ z.T
+    x0 = rng.standard_normal((n, r))
+    bound_d = max(np.linalg.norm(m_hat), np.linalg.norm(x0 @ x0.T))
+    problem = RecoveryProblem(make_onebit_loss(m_hat), m_hat, r, 0.5, 2.0,
+                              onebit_rho2(6.0), bound_d)
+    return problem, x0
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +266,112 @@ def test_trace_csv_errors(tmp_path):
     assert back.in_region.tolist() == [False]
     assert back.perturbed.tolist() == [True]
     assert back.phase1_complete
+
+
+def descend_reference(problem, X, eta, max_iters, eps_target, tol=None,
+                      params=None, seed=0):
+    # The descent loop row by row, forming X X^T twice per step (once for
+    # the loss, once for the distance) and taking norms with np.linalg.norm.
+    loss, m_star = problem.loss, problem.m_star
+    radius = rip.local_region_sym(problem.delta, problem.sigma_r)
+    phase = 2 if params is None else 1
+    if phase == 1:
+        rng = np.random.default_rng(seed)
+        t_window = max(1, math.ceil(params.t_thres))
+        t_noise = -t_window - 1
+        saved_x = None
+        saved_f = np.inf
+    rows = []
+    stop = "max_iters"
+    t = 0
+    while True:
+        val, grad = g_value_and_grad(loss, X)[:2]
+        perturbed = False
+        if phase == 1:
+            gn = float(np.linalg.norm(grad))
+            if gn <= params.g_thres and t - t_noise > t_window:
+                saved_x = X.copy()
+                saved_f = val
+                t_noise = t
+                X = X + solver._ball_noise(rng, X.shape, params.w)
+                perturbed = True
+                val, grad = g_value_and_grad(loss, X)[:2]
+            elif t - t_noise == t_window and val - saved_f > -params.f_thres:
+                X = saved_x
+                phase = 2
+                val = saved_f
+                grad = g_grad(loss, X)
+        gn = float(np.linalg.norm(grad))
+        dist = float(np.linalg.norm(X @ X.T - m_star))
+        if not (math.isfinite(val) and math.isfinite(gn)):
+            raise ValueError("non-finite objective or gradient at iteration %d" % t)
+        rows.append((t, val, gn, dist, dist < radius, perturbed, phase))
+        if tol is not None and gn <= tol:
+            stop = "grad_tol"
+            break
+        if phase == 2 and eps_target is not None and dist <= eps_target:
+            stop = "eps_target"
+            break
+        if t >= max_iters:
+            break
+        X = X - eta * grad
+        t += 1
+    return Trace._from_columns(zip(*rows), eta=eta, x_final=X,
+                               stop_reason=stop)
+
+
+def assert_same_trace(trace, ref):
+    for name in TRACE_HEADER.split(","):
+        np.testing.assert_array_equal(getattr(trace, name), getattr(ref, name),
+                                      err_msg=name)
+    np.testing.assert_array_equal(trace.x_final, ref.x_final)
+    assert trace.stop_reason == ref.stop_reason
+    assert trace.eta == ref.eta
+
+
+def test_gradient_descent_matches_reference_loop():
+    problem, x0 = onebit_problem()
+    for eps_target, stop in ((None, "max_iters"), (1e-2, "eps_target")):
+        trace = gradient_descent(problem, x0, eta=0.05, max_iters=400,
+                                 tol=1e-14, eps_target=eps_target)
+        assert trace.stop_reason == stop
+        assert_same_trace(trace, descend_reference(
+            problem, np.array(x0), 0.05, 400, eps_target, tol=1e-14))
+
+
+def test_perturbed_gd_matches_reference_loop(saddle_run):
+    problem, params, trace = saddle_run
+    # The run perturbs and then reverts to the saved iterate at the phase
+    # switch, so the restored X X^T sets that row's distance.
+    switch = trace.phase2_start
+    assert trace.perturbed.sum() >= 2 and not trace.perturbed[switch]
+    ref = descend_reference(problem, np.zeros((1, 1)), params.eta, 20000,
+                            1e-6, params=params, seed=3)
+    assert_same_trace(trace, ref)
+
+
+def test_gradient_descent_one_loss_evaluation_per_step(monkeypatch):
+    problem, x0 = onebit_problem()
+    calls = []
+    inner = problem.loss.value_and_grad
+
+    def counting(M):
+        calls.append(M)
+        return inner(M)
+
+    monkeypatch.setattr(problem.loss, "value_and_grad", counting)
+    for k in (0, 1, 25):
+        calls.clear()
+        trace = gradient_descent(problem, x0, eta=0.05, max_iters=k, tol=1e-14)
+        assert len(trace) == k + 1 and len(calls) == k + 1
+
+
+@pytest.mark.parametrize("shape", [(40, 1), (40, 40), (18, 5), (18, 18),
+                                   (10, 5), (10, 10)])
+def test_norm_matches_numpy(shape):
+    # Factor and matrix shapes of the fig1a, fig1b (lifted) and fig1c runs.
+    a = np.random.default_rng(shape[0] * 100 + shape[1]).standard_normal(shape)
+    for x in (a, np.asfortranarray(a), a.T, a[::-1, ::2]):
+        value = solver._norm(x)
+        assert type(value) is float
+        assert value == float(np.linalg.norm(x))
