@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .losses import LinearLoss, make_gaussian_operator
-from .factored import DENSE_LIMIT, _basis_images, g_grad, g_hess_min_eig
+from .factored import _basis_images, _check_dense, g_grad, g_hess_min_eig
 from .rip import pl_radius_sym
 
 _RANGE_TOL = 1e-10
@@ -28,21 +28,15 @@ def vec(A):
     return np.asarray(A, dtype=float).reshape(-1, order="F")
 
 
-def unvec(v, n, m=None):
-    m = n if m is None else m
-    return np.asarray(v, dtype=float).reshape((n, m), order="F")
-
-
-def sym_mat(v, n=None):
-    """Symmetric part of the square matrix packed in v."""
+def sym_mat(v):
+    """Symmetric part of the square matrix packed column-major in v."""
     v = np.asarray(v, dtype=float)
-    if n is None:
-        n = math.isqrt(v.size)
-    W = unvec(v, n)
+    n = math.isqrt(v.size)
+    W = v.reshape((n, n), order="F")
     return 0.5 * (W + W.T)
 
 
-def x_operator(X, dense_limit=DENSE_LIMIT):
+def x_operator(X):
     """Dense n^2-by-nr matrix of U -> X U^T + U X^T.
 
     Columns follow the column-major basis of the factor space, so
@@ -50,8 +44,7 @@ def x_operator(X, dense_limit=DENSE_LIMIT):
     """
     X = np.asarray(X, dtype=float)
     n, r = X.shape
-    if n * n > dense_limit:
-        raise ValueError("n^2 exceeds the dense limit %d" % dense_limit)
+    _check_dense(n * r * n * n)
     # Each image is symmetric, so its row-major and column-major vecs agree.
     return _basis_images(X).reshape(n * r, n * n).T
 
@@ -67,14 +60,14 @@ def mean_hessian(loss, X, m_star, quad_points=16):
     """Gauss-Legendre average of the loss Hessian from X X^T to m_star."""
     if loss.n != loss.m:
         raise ValueError("mean Hessian needs a square loss")
-    if loss.n > 10:
-        raise ValueError("dense mean Hessian is limited to n <= 10")
+    n2 = loss.n * loss.n
+    # The column-major unit basis and the mean Hessian are both n^2 by n^2.
+    _check_dense(n2 * n2)
     if quad_points < 1:
         raise ValueError("need at least one quadrature node")
     X = np.asarray(X, dtype=float)
     m_star = np.asarray(m_star, dtype=float)
     M0 = X @ X.T
-    n2 = loss.n * loss.n
     # Unit matrices in column-major order: basis[i] has a one at vec index i.
     basis = np.eye(n2).reshape(n2, loss.n, loss.n).transpose(0, 2, 1)
     # A constant Hessian is built once; the weighted sum over the nodes is
@@ -128,7 +121,7 @@ class CertificateReport:
         }
 
 
-def verify_gradhessian(loss, X, m_star, delta, quad_points=16):
+def verify_gradhessian(loss, X, m_star, delta):
     """Check the mean-Hessian bounds linking matrix and factor space.
 
     Verifies, with e the vectorized recovery error and H the mean Hessian,
@@ -137,14 +130,14 @@ def verify_gradhessian(loss, X, m_star, delta, quad_points=16):
     factored Hessian eigenvalue.
     """
     X = np.asarray(X, dtype=float)
-    n, r = X.shape
-    H = mean_hessian(loss, X, m_star, quad_points)
+    r = X.shape[1]
+    H = mean_hessian(loss, X, m_star)
     Xop = x_operator(X)
     e = vec(X @ X.T - m_star)
     he = H @ e
     lhs_grad = float(np.linalg.norm(Xop.T @ he))
     rhs_grad = float(np.linalg.norm(g_grad(loss, X)))
-    comparison = 2.0 * np.kron(np.eye(r), sym_mat(he, n)) + (1.0 + delta) * Xop.T @ Xop
+    comparison = 2.0 * np.kron(np.eye(r), sym_mat(he)) + (1.0 + delta) * Xop.T @ Xop
     lam_cert = float(np.linalg.eigvalsh(comparison)[0])
     lam_hess = g_hess_min_eig(loss, X)
     report = CertificateReport(kind="gradhessian")
@@ -174,7 +167,7 @@ def _require_aligned(X, Z):
         raise ValueError("X^T Z is not positive semidefinite; align Z first")
 
 
-def range_split(X, Z, rank_tol=_RANGE_TOL):
+def range_split(X, Z):
     """Split Z against the range of X.
 
     Returns (y_hat, z_perp, R) where z_perp is the part of Z outside the
@@ -186,7 +179,7 @@ def range_split(X, Z, rank_tol=_RANGE_TOL):
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     U, sv, _ = np.linalg.svd(X, full_matrices=False)
-    keep = sv > rank_tol * max(1.0, sv[0] if len(sv) else 1.0)
+    keep = sv > _RANGE_TOL * max(1.0, sv[0] if len(sv) else 1.0)
     basis = U[:, keep]
     z_range = basis @ (basis.T @ Z)
     z_perp = Z - z_range

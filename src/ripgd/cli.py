@@ -251,9 +251,8 @@ def derived_seeds(seed):
 def _operator_estimate(config, seeds):
     sym = config.kind == "sym-linear"
     op = make_gaussian_operator(config.n, config.m, config.p, seeds["operator"])
-    est = rip.estimate_rip(op, config.n, config.m, config.r,
-                           samples=config.rip_samples, seed=seeds["rip"],
-                           symmetric=sym)
+    est = rip.estimate_rip(op, config.r, samples=config.rip_samples,
+                           seed=seeds["rip"], symmetric=sym)
     return op.with_scale(est.scale), est
 
 
@@ -264,8 +263,7 @@ def _build_sym_linear(config, seeds):
     loss = LinearLoss(op, op.apply(m_star))
     x0 = np.random.default_rng(seeds["init"]).standard_normal((config.n, config.r))
     bound_d = max(float(np.linalg.norm(m_star)), float(np.linalg.norm(x0 @ x0.T)))
-    rho1 = estimate_rho1(loss, config.n, config.n, config.r, est.delta,
-                         seed=seeds["rho1"])
+    rho1 = estimate_rho1(loss, config.r, est.delta, seed=seeds["rho1"])
     problem = RecoveryProblem(loss, m_star, config.r, est.delta, rho1, 0.0,
                               bound_d)
     info = {"rip": est.to_dict(), "base_delta": est.delta, "phi": None}
@@ -283,11 +281,9 @@ def _build_asym_linear(config, seeds):
     loss = ScaledLoss(LiftedLoss(base_loss, phi), 4.0 / (1.0 + est.delta))
     delta_lift = 2.0 * est.delta / (1.0 + est.delta)
     _, _, m_tilde = balance_and_augment(m_star, config.r)
-    dim = config.n + config.m
-    x0 = np.random.default_rng(seeds["init"]).standard_normal((dim, config.r))
+    x0 = np.random.default_rng(seeds["init"]).standard_normal((loss.n, config.r))
     bound_d = max(float(np.linalg.norm(m_tilde)), float(np.linalg.norm(x0 @ x0.T)))
-    rho1 = estimate_rho1(loss, dim, dim, config.r, delta_lift,
-                         seed=seeds["rho1"])
+    rho1 = estimate_rho1(loss, config.r, delta_lift, seed=seeds["rho1"])
     problem = RecoveryProblem(loss, m_tilde, config.r, delta_lift, rho1, 0.0,
                               bound_d)
     info = {"rip": est.to_dict(), "base_delta": est.delta, "phi": phi}
@@ -325,19 +321,19 @@ def build_instance(config):
     return problem, x0, info, seeds
 
 
-def default_kappa(problem, n, r, c, gamma, fraction=GTHRES_FRACTION):
+def default_kappa(problem, c, gamma):
     """Pick kappa so the perturbation trigger sits inside the local region.
 
     The gradient threshold grows monotonically with kappa, so a geometric
-    bisection finds the kappa whose threshold matches ``fraction`` of the
-    gradient scale at the region boundary.
+    bisection finds the kappa whose threshold matches GTHRES_FRACTION of
+    the gradient scale at the region boundary.
     """
     region = rip.local_region_sym(problem.delta, problem.sigma_r)
-    target = (fraction * 2.0 * (1.0 - problem.delta) * region
+    target = (GTHRES_FRACTION * 2.0 * (1.0 - problem.delta) * region
               * math.sqrt(problem.sigma_r))
 
     def gthres(kappa):
-        return solver.pgd_params(problem, c, kappa, gamma, n, r).g_thres
+        return solver.pgd_params(problem, c, kappa, gamma).g_thres
 
     lo, hi = 1e-60, 1.0
     if gthres(lo) >= target:
@@ -404,10 +400,8 @@ def run_experiment(config):
     if config.solver == "pgd":
         kappa = config.kappa
         if kappa is None:
-            kappa = default_kappa(problem, problem.n, config.r, config.c,
-                                  config.gamma)
-        params = solver.pgd_params(problem, config.c, kappa, config.gamma,
-                                   problem.n, config.r)
+            kappa = default_kappa(problem, config.c, config.gamma)
+        params = solver.pgd_params(problem, config.c, kappa, config.gamma)
         eta = params.eta
         trace = solver.perturbed_gd(problem, x0, params, config.eps_target,
                                     max_iters=config.max_iters,
@@ -475,6 +469,11 @@ def run_experiment(config):
     return trace, summary, out_dir
 
 
+def _usage_error(args, message):
+    """Print one 'ripgd <command>: error: ...' line and exit with code 2."""
+    args.parser.exit(2, "%s: error: %s\n" % (args.parser.prog, message))
+
+
 def _read_input(args, read, *read_args):
     """Call read(*read_args), reporting a bad file or value as a usage error.
 
@@ -483,7 +482,7 @@ def _read_input(args, read, *read_args):
     try:
         return read(*read_args)
     except (OSError, ValueError) as exc:
-        args.parser.exit(2, "%s: error: %s\n" % (args.parser.prog, exc))
+        _usage_error(args, exc)
 
 
 def _cmd_run(args):
@@ -505,7 +504,7 @@ def _cmd_run(args):
 def _cmd_rip_estimate(args):
     config = _read_input(args, load_config, args.config, {"seed": args.seed})
     if config.kind == "onebit":
-        raise SystemExit("rip-estimate needs a linear kind")
+        _usage_error(args, "rip-estimate needs a linear kind, got onebit")
     seeds = derived_seeds(config.seed)
     _, est = _operator_estimate(config, seeds)
     payload = est.to_dict()
@@ -518,6 +517,9 @@ def _cmd_rip_estimate(args):
 
 
 def _cmd_certify(args):
+    for flag in ("seed", "gradhessian", "saddle", "pl-dual", "normcompare"):
+        if getattr(args, flag.replace("-", "_")) < 0:
+            _usage_error(args, "--%s must be nonnegative" % flag)
     report = certify.run_certificate_suites(
         seed=args.seed, gradhessian=args.gradhessian, saddle=args.saddle,
         pl_dual=args.pl_dual, normcompare=args.normcompare)
@@ -565,7 +567,7 @@ def main(argv=None):
     p_cert.add_argument("--pl-dual", dest="pl_dual", type=int, default=200)
     p_cert.add_argument("--normcompare", type=int, default=1000)
     p_cert.add_argument("--out", help="also write the report to this file")
-    p_cert.set_defaults(func=_cmd_certify)
+    p_cert.set_defaults(func=_cmd_certify, parser=p_cert)
 
     p_plot = sub.add_parser("plot-data",
                             help="expand a trace into plot series files")

@@ -10,9 +10,16 @@ import numpy as np
 
 from .losses import MatrixLoss, check_rank
 
-# Largest side of a dense matrix assembled over the factor or matrix space:
-# nr for the factored Hessian, n^2 for the linearization operator.
-DENSE_LIMIT = 4000
+# Most entries of one dense array built over the factor or matrix space,
+# 128 MB of float64; larger arrays are refused before they are allocated.
+DENSE_LIMIT = 4000 * 4000
+
+
+def _check_dense(entries):
+    """Refuse to build a dense array of more than DENSE_LIMIT entries."""
+    if entries > DENSE_LIMIT:
+        raise ValueError("%d entries exceed the dense limit %d"
+                         % (entries, DENSE_LIMIT))
 
 
 def _check_factor(loss, X):
@@ -60,23 +67,21 @@ def _basis_images(X):
     return out
 
 
-def hess_matrix(loss, X, dense_limit=DENSE_LIMIT):
+def hess_matrix(loss, X):
     """Dense factored Hessian in the column-major factor basis."""
     X = _check_factor(loss, X)
     n, r = X.shape
-    d = n * r
-    if d > dense_limit:
-        raise ValueError("factor dimension %d exceeds the dense limit %d"
-                         % (d, dense_limit))
+    # The nr basis images of n^2 entries each, and the nr-square result.
+    _check_dense(n * r * n * max(n, r))
     M = X @ X.T
     W = loss.grad(M)
     G = loss.hess_gram(M, _basis_images(X)) + np.kron(np.eye(r), W + W.T)
     return 0.5 * (G + G.T)
 
 
-def g_hess_min_eig(loss, X, dense_limit=DENSE_LIMIT):
+def g_hess_min_eig(loss, X):
     """Smallest eigenvalue of the factored Hessian at X."""
-    return float(np.linalg.eigvalsh(hess_matrix(loss, X, dense_limit))[0])
+    return float(np.linalg.eigvalsh(hess_matrix(loss, X))[0])
 
 
 class LiftedLoss(MatrixLoss):

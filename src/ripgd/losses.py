@@ -13,6 +13,9 @@ import numpy as np
 # Absolute tolerance used for numerical rank decisions throughout.
 RANK_TOL = 1e-10
 
+# Random pairs drawn by estimate_rho1.
+RHO1_SAMPLES = 200
+
 
 class LinearOperator:
     """Linear sensing map M -> scale * (<A_1, M>, ..., <A_p, M>)."""
@@ -246,23 +249,21 @@ def check_rank(sv, r):
         raise ValueError("m_star has numerical rank above %d" % r)
 
 
-def estimate_rho1(loss, n, m, r, delta, samples=200, seed=0):
+def estimate_rho1(loss, r, delta, *, seed=0):
     """Empirical gradient Lipschitz constant over random rank-r pairs.
 
     Takes 1.5 times the largest observed ratio ||grad f(M) - grad f(M')|| /
-    ||M - M'|| over ``samples`` random rank-r pairs, floored at 1 + 2*delta.
-    Square losses are probed with M = X X^T, rectangular ones with M = U V^T.
+    ||M - M'|| over RHO1_SAMPLES random pairs M = X X^T of a square loss,
+    floored at 1 + 2*delta.
     """
+    if loss.n != loss.m:
+        raise ValueError("estimate_rho1 needs a square loss")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        if n == m:
-            a = rng.standard_normal((n, r))
-            b = rng.standard_normal((n, r))
-            ma, mb = a @ a.T, b @ b.T
-        else:
-            ma = rng.standard_normal((n, r)) @ rng.standard_normal((r, m))
-            mb = rng.standard_normal((n, r)) @ rng.standard_normal((r, m))
+    for _ in range(RHO1_SAMPLES):
+        a = rng.standard_normal((loss.n, r))
+        b = rng.standard_normal((loss.n, r))
+        ma, mb = a @ a.T, b @ b.T
         gap = np.linalg.norm(ma - mb)
         if gap < 1e-12:
             continue

@@ -48,18 +48,18 @@ class RipEstimate:
         return asdict(self)
 
 
-def estimate_rip(op, n, m, r, samples=10000, seed=0, symmetric=None):
+def estimate_rip(op, r, *, samples=10000, seed=0, symmetric=None):
     """Estimate the rank-2r isometry constant of a sensing operator.
 
-    Draws ``samples`` random rank-2r matrices, symmetric ones as X X^T with
+    Draws ``samples`` random rank-2r matrices of the operator's n-by-m
+    shape, symmetric ones (the default for a square operator) as X X^T with
     X an n-by-2r standard normal factor, rectangular ones as U V^T.  The
     returned scale always refers to the unscaled sensing matrices, so it can
     be installed directly with ``op.with_scale``.  Sample draws are streamed
     from one generator, so a longer run extends a shorter one with the same
     seed.
     """
-    if (n, m) != (op.n, op.m):
-        raise ValueError("n, m do not match the operator")
+    n, m = op.n, op.m
     if samples < 1:
         raise ValueError("need at least one sample")
     if r < 1:

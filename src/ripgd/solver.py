@@ -53,12 +53,11 @@ class PgdParams:
         return asdict(self)
 
 
-def pgd_params(problem, c, kappa, gamma, n, r):
-    """Instantiate the perturbed descent constants for a problem."""
+def pgd_params(problem, c, kappa, gamma):
+    """Perturbed descent constants for a problem and its n-by-r factor."""
     if c <= 0 or kappa <= 0 or not 0 < gamma <= 1:
         raise ValueError("c and kappa must be positive and gamma in (0, 1]")
-    if n < 1 or r < 1:
-        raise ValueError("n and r must be positive")
+    n, r = problem.n, problem.r
     delta = problem.delta
     big_r = 3.0 * problem.bound_d * (1.0 + delta) / (1.0 - delta)
     l1 = 8.0 * problem.rho1 * math.sqrt(r) * big_r

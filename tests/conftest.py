@@ -1,6 +1,23 @@
+import tracemalloc
+
 import pytest
 
 _acceptance = {}
+
+
+@pytest.fixture
+def refused_before_allocation():
+    """Check that call(*args) hits the dense limit having allocated < 1 MB."""
+    def check(call, *args):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dense limit"):
+                call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+    return check
 
 
 @pytest.hookimpl(hookwrapper=True)

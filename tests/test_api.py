@@ -6,15 +6,21 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ripgd
+from ripgd.certify import range_split, sym_mat, verify_gradhessian, x_operator
+from ripgd.cli import default_kappa
+from ripgd.factored import g_hess_min_eig, hess_matrix
 from ripgd.losses import (
     LinearLoss,
     LinearOperator,
     RecoveryProblem,
+    estimate_rho1,
     make_onebit_loss,
     onebit_rho2,
 )
+from ripgd.rip import estimate_rip
 from ripgd.solver import gradient_descent, perturbed_gd, pgd_params
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,6 +38,58 @@ def test_readme_library_sketch_imports():
     assert statements, "README has no 'from ripgd import (...)' line"
     for statement in statements:
         exec(statement, {})
+
+
+def test_readme_library_sketch_runs(monkeypatch, capsys):
+    # The whole sketch runs against the current signatures.  Its solve is
+    # capped at 200 steps: the full run takes seconds and proves nothing
+    # more about the API.
+    block = re.search(r"^```python\n(.*?)^```",
+                      README.read_text(encoding="utf-8"), re.S | re.M).group(1)
+    calls = []
+
+    def capped(*args, **kwargs):
+        calls.append(kwargs)
+        return perturbed_gd(*args, **dict(kwargs, max_iters=200))
+
+    # The sketch's own import binds the capped solver in its globals.
+    monkeypatch.setattr(ripgd, "perturbed_gd", capped)
+    exec(block, {})
+    assert len(calls) == 1
+    assert capsys.readouterr().out.startswith("max_iters ")
+
+
+def test_old_call_forms_raise_type_error():
+    # Shapes, ranks and limits are read from the operator, loss or problem
+    # that owns them.  A call in the old form, which passed them again, must
+    # fail instead of binding its numbers to other parameters.
+    op = LinearOperator(np.ones((1, 1, 1)))
+    loss = LinearLoss(op, np.ones(1))
+    problem = RecoveryProblem(loss, np.ones((1, 1)), 1, 0.0, 1.0, 0.0, 1.0)
+    X = np.ones((1, 1))
+    old_forms = [
+        lambda: estimate_rip(op, 1, 1, 1, symmetric=True, seed=2),
+        lambda: estimate_rip(op, 1, 1, 1, samples=50, seed=0),
+        lambda: estimate_rip(op, 40, 40, 1),
+        lambda: estimate_rho1(loss, 1, 1, 1, 0.4, seed=3),
+        lambda: estimate_rho1(loss, 1, 1, 1, delta=0.4),
+        lambda: estimate_rho1(loss, 1, 0.4, samples=200),
+        lambda: estimate_rho1(loss, 1, 0.4, 3),
+        lambda: pgd_params(problem, c=0.5, kappa=1e3, gamma=0.1, n=1, r=1),
+        lambda: pgd_params(problem, 0.5, 1.0, 0.1, 1, 1),
+        lambda: default_kappa(problem, 1, 1, c=0.5, gamma=0.1),
+        lambda: default_kappa(problem, 1, 1, 0.5, 0.1),
+        lambda: default_kappa(problem, 0.5, 0.1, fraction=0.02),
+        lambda: hess_matrix(loss, X, dense_limit=4000),
+        lambda: g_hess_min_eig(loss, X, 4000),
+        lambda: x_operator(X, dense_limit=4000),
+        lambda: range_split(X, X, rank_tol=1e-10),
+        lambda: verify_gradhessian(loss, X, np.ones((1, 1)), 0.0, 16),
+        lambda: sym_mat(np.ones(4), 2),
+    ]
+    for call in old_forms:
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_cli_import_defers_scipy_special():
@@ -95,7 +153,7 @@ def test_benchmark_tracer_sees_every_loss_evaluation():
     op = LinearOperator(np.ones((1, 1, 1)))
     scalar = RecoveryProblem(LinearLoss(op, np.ones(1)), np.ones((1, 1)), 1,
                              0.0, 1.0, 0.0, 1.0)
-    params = pgd_params(scalar, c=0.5, kappa=1.0, gamma=0.1, n=1, r=1)
+    params = pgd_params(scalar, c=0.5, kappa=1.0, gamma=0.1)
     runs = [
         lambda: gradient_descent(onebit, x0, eta=0.05, max_iters=40, tol=0.0),
         lambda: perturbed_gd(scalar, np.zeros((1, 1)), params,

@@ -14,7 +14,6 @@ from ripgd.losses import (
 from ripgd.factored import LiftedLoss, g_grad
 from ripgd.certify import (
     vec,
-    unvec,
     sym_mat,
     x_operator,
     mean_hessian,
@@ -42,10 +41,11 @@ def calibrated_operator(n, p, seed):
 def test_vec_column_major():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert vec(A).tolist() == [1.0, 3.0, 2.0, 4.0]
-    assert np.array_equal(unvec(vec(A), 2), A)
     B = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(unvec(vec(B), 2, 3), B)
+    assert np.array_equal(vec(B).reshape((2, 3), order="F"), B)
     assert np.array_equal(sym_mat(vec(A)), 0.5 * (A + A.T))
+    with pytest.raises(ValueError):
+        sym_mat(np.ones(5))
 
 
 def test_vec_kron_identity():
@@ -56,7 +56,7 @@ def test_vec_kron_identity():
     assert np.allclose(vec(P @ W @ P.T), np.kron(P, P) @ vec(W), atol=1e-12)
 
 
-def test_x_operator_defining_property():
+def test_x_operator_defining_property(refused_before_allocation):
     rng = np.random.default_rng(1)
     X = rng.standard_normal((5, 2))
     K = x_operator(X)
@@ -67,8 +67,7 @@ def test_x_operator_defining_property():
         assert np.linalg.norm(K @ vec(U)) == pytest.approx(
             np.linalg.norm(X @ U.T + U @ X.T), rel=1e-12)
     assert np.allclose(x_operator(np.array([[3.0]])), [[6.0]])
-    with pytest.raises(ValueError, match="dense limit"):
-        x_operator(np.ones((3, 1)), dense_limit=8)
+    refused_before_allocation(x_operator, np.ones((253, 1)))
 
 
 def test_mean_hessian_linear_is_constant():
@@ -172,15 +171,19 @@ def test_mean_hessian_builds_a_constant_hessian_once():
         np.testing.assert_array_equal(H, reference)
 
 
-def test_mean_hessian_validation():
+def test_mean_hessian_validation(refused_before_allocation):
     op = make_gaussian_operator(3, 2, 5, seed=0)
     loss = LinearLoss(op, np.zeros(5))
     with pytest.raises(ValueError, match="square"):
         mean_hessian(loss, np.ones((3, 1)), np.ones((3, 2)))
-    big = make_gaussian_operator(11, 11, 5, seed=0)
-    with pytest.raises(ValueError, match="n <= 10"):
-        mean_hessian(LinearLoss(big, np.zeros(5)), np.ones((11, 1)),
+    # n^4 entries: 64^4 is above the dense limit of 4000^2, 11^4 far below.
+    big = make_gaussian_operator(64, 64, 1, seed=0)
+    refused_before_allocation(mean_hessian, LinearLoss(big, np.zeros(1)),
+                              np.ones((64, 1)), np.ones((64, 64)))
+    mid = make_gaussian_operator(11, 11, 5, seed=0)
+    H = mean_hessian(LinearLoss(mid, np.zeros(5)), np.ones((11, 1)),
                      np.ones((11, 11)))
+    assert H.shape == (121, 121)
     sq = make_gaussian_operator(3, 3, 5, seed=0)
     with pytest.raises(ValueError, match="quadrature"):
         mean_hessian(LinearLoss(sq, np.zeros(5)), np.ones((3, 1)),

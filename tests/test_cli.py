@@ -159,11 +159,11 @@ def scalar_problem():
 
 def test_default_kappa_hits_threshold_target():
     problem = scalar_problem()
-    kappa = default_kappa(problem, 1, 1, c=0.5, gamma=0.1)
+    kappa = default_kappa(problem, c=0.5, gamma=0.1)
     target = (0.02 * 2.0 * (1.0 - problem.delta)
               * local_region_sym(problem.delta, problem.sigma_r)
               * math.sqrt(problem.sigma_r))
-    got = pgd_params(problem, 0.5, kappa, 0.1, 1, 1).g_thres
+    got = pgd_params(problem, 0.5, kappa, 0.1).g_thres
     assert got == pytest.approx(target, rel=1e-6)
 
 
@@ -337,6 +337,22 @@ def test_main_reports_bad_input_as_usage_error(tmp_path, capsys):
         "ripgd plot-data: error: trace line 2 has 3 fields, expected 7\n")
     assert "No such file" in usage_error(
         capsys, ["plot-data", str(tmp_path / "none.csv")])
+    assert usage_error(capsys, ["certify", "--seed", "-1"]) == (
+        "ripgd certify: error: --seed must be nonnegative\n")
+    # The first negative count is reported, before any sweep runs.
+    assert usage_error(capsys, [
+        "certify", "--gradhessian", "-5", "--saddle", "-1", "--pl-dual", "-2",
+        "--normcompare", "-3", "--out", str(tmp_path / "report.json")]) == (
+        "ripgd certify: error: --gradhessian must be nonnegative\n")
+    for flag in ("--saddle", "--pl-dual", "--normcompare"):
+        assert usage_error(capsys, ["certify", flag, "-1"]) == (
+            "ripgd certify: error: %s must be nonnegative\n" % flag)
+    assert not (tmp_path / "report.json").exists()
+    onebit = tmp_path / "onebit.conf"
+    onebit.write_text("kind = onebit\nn = 6\nr = 2\n")
+    assert usage_error(capsys, ["rip-estimate", str(onebit)]) == (
+        "ripgd rip-estimate: error: rip-estimate needs a linear kind, "
+        "got onebit\n")
 
 
 def test_main_rip_estimate(tmp_path, capsys):
@@ -353,8 +369,7 @@ def test_main_rip_estimate(tmp_path, capsys):
 
     ob_path = tmp_path / "ob.conf"
     ob_path.write_text("kind = onebit\nn = 6\nr = 2\n")
-    with pytest.raises(SystemExit, match="linear"):
-        main(["rip-estimate", str(ob_path)])
+    assert "linear kind" in usage_error(capsys, ["rip-estimate", str(ob_path)])
 
 
 def test_main_certify(tmp_path, capsys):

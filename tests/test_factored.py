@@ -162,10 +162,12 @@ def test_min_eig_at_zero_factor():
     assert got == pytest.approx(-2.0 * lam_max, rel=1e-10)
 
 
-def test_hess_matrix_size_limit():
-    loss = identity_loss(3, np.eye(3))
-    with pytest.raises(ValueError):
-        hess_matrix(loss, np.zeros((3, 2)), dense_limit=4)
+def test_hess_matrix_size_limit(refused_before_allocation):
+    # n*r = 253 passed the old factor-dimension limit, but the basis images
+    # alone are 253^3 > 4000^2 entries.
+    loss = OneBitLoss(np.full((253, 253), 0.5))
+    refused_before_allocation(hess_matrix, loss, np.ones((253, 1)))
+    refused_before_allocation(g_hess_min_eig, loss, np.ones((253, 1)))
 
 
 def test_factor_shape_validation():

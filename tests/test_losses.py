@@ -237,13 +237,18 @@ def test_estimate_rho1_floor_and_determinism():
     op = LinearOperator(rng.standard_normal((10, 3, 3)), scale=1e-6)
     loss = LinearLoss(op, np.zeros(10))
     # A nearly-zero operator has a tiny empirical ratio; the floor binds.
-    assert estimate_rho1(loss, 3, 3, 1, delta=0.4) == pytest.approx(1.8)
+    assert estimate_rho1(loss, 1, delta=0.4) == pytest.approx(1.8)
     op2 = LinearOperator(rng.standard_normal((10, 3, 3)))
     loss2 = LinearLoss(op2, np.zeros(10))
-    a = estimate_rho1(loss2, 3, 3, 2, delta=0.1, seed=11)
-    b = estimate_rho1(loss2, 3, 3, 2, delta=0.1, seed=11)
+    a = estimate_rho1(loss2, 2, delta=0.1, seed=11)
+    b = estimate_rho1(loss2, 2, delta=0.1, seed=11)
     assert a == b
     assert a >= 1.2
+    # Pairs are drawn as X X^T, so a rectangular loss is refused.
+    rect = LinearLoss(LinearOperator(rng.standard_normal((10, 3, 2))),
+                      np.zeros(10))
+    with pytest.raises(ValueError, match="square loss"):
+        estimate_rho1(rect, 1, delta=0.1)
 
 
 def test_recovery_problem_attributes():

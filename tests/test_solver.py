@@ -47,7 +47,7 @@ def onebit_problem(n=5, r=2, seed=0):
 @pytest.fixture(scope="module")
 def saddle_run():
     problem = scalar_problem(1.0, 0.0, 1.0)
-    params = pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1, n=1, r=1)
+    params = pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1)
     trace = perturbed_gd(problem, np.zeros((1, 1)), params, eps_target=1e-6,
                          max_iters=20000, seed=3)
     return problem, params, trace
@@ -58,7 +58,7 @@ def test_pgd_params_frozen():
     # rho2=0, r=n=1, c=1/2, kappa=1, gamma=1/10.  With kappa=1 the product
     # l2*eps_hat collapses to 1, which pins t_thres = chi*l1/c^2.
     problem = scalar_problem(0.5, 1.0 / 3.0, 5.0 / 3.0)
-    p = pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1, n=1, r=1)
+    p = pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1)
     assert p.radius_r == pytest.approx(6.0, rel=1e-12)
     assert p.l1 == pytest.approx(80.0, rel=1e-12)
     assert p.l2 == pytest.approx(48.989794855663561, rel=1e-12)
@@ -82,11 +82,7 @@ def test_pgd_params_validation():
         dict(c=0.5, kappa=1.0, gamma=1.5),
     ):
         with pytest.raises(ValueError):
-            pgd_params(problem, n=1, r=1, **kwargs)
-    with pytest.raises(ValueError):
-        pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1, n=0, r=1)
-    with pytest.raises(ValueError):
-        pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1, n=1, r=0)
+            pgd_params(problem, **kwargs)
 
 
 def test_gradient_descent_grad_tol():
@@ -154,7 +150,7 @@ def test_perturbed_gd_escapes_origin(saddle_run):
 def test_perturbed_gd_budget_spent_in_phase_one():
     # The revert window is about 15,500 steps, so 50 steps end in phase 1.
     problem = scalar_problem(1.0, 0.0, 1.0)
-    params = pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1, n=1, r=1)
+    params = pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1)
     trace = perturbed_gd(problem, np.zeros((1, 1)), params, eps_target=1e-6,
                          max_iters=50, seed=3)
     assert trace.stop_reason == "max_iters"
@@ -209,7 +205,7 @@ def test_descent_violation_skips_perturbations_and_phase_switches(saddle_run):
 
 def test_perturbed_gd_deterministic():
     problem = scalar_problem(1.0, 0.0, 1.0)
-    params = pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1, n=1, r=1)
+    params = pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1)
     runs = [
         perturbed_gd(problem, np.zeros((1, 1)), params, eps_target=1e-4,
                      max_iters=20000, seed=11)
@@ -224,7 +220,7 @@ def test_perturbed_gd_deterministic():
 
 def test_perturbed_gd_validation():
     problem = scalar_problem(1.0, 0.0, 1.0)
-    params = pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1, n=1, r=1)
+    params = pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1)
     with pytest.raises(ValueError):
         perturbed_gd(problem, np.zeros((1, 1)), params, eps_target=0.0)
     with pytest.raises(ValueError, match="norm bound"):
