@@ -258,6 +258,8 @@ def estimate_rho1(loss, r, delta, *, seed=0):
     """
     if loss.n != loss.m:
         raise ValueError("estimate_rho1 needs a square loss")
+    if r < 1:
+        raise ValueError("rank must be positive")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(RHO1_SAMPLES):

@@ -7,13 +7,21 @@ isometry constant and the smallest ground-truth singular value into step
 sizes and radii of guaranteed linear convergence.
 """
 
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 SQRT2 = np.sqrt(2.0)
 
+# Samples per chunk of the isometry estimate, and the bytes that the chunks
+# in flight at once may hold.  The chunk size depends on the shape alone:
+# the batched products can round differently for another chunk size.
 _CHUNK = 256
+_INFLIGHT_BYTES = 64 * 2 ** 20
 
 
 def _check_delta(delta):
@@ -58,6 +66,16 @@ def estimate_rip(op, r, *, samples=10000, seed=0, symmetric=None):
     be installed directly with ``op.with_scale``.  Sample draws are streamed
     from one generator, so a longer run extends a shorter one with the same
     seed.
+
+    The samples are measured in chunks of 256, fewer when n*m is so large
+    that one chunk (each sample's matrix, its square and its normal draws)
+    would exceed 64 MiB.  The chunks run on W threads, W = min(chunks,
+    cpus // blas_threads), where cpus is this process's CPU affinity and
+    blas_threads the thread count of the loaded OpenBLAS; W is 1 when
+    OpenBLAS cannot be asked, and lower when the W chunks in flight would
+    exceed 64 MiB.  The chunks are still drawn in order from the one
+    generator, and each thread keeps only the smallest and largest ratio it
+    saw, so the result does not depend on W.
     """
     n, m = op.n, op.m
     if samples < 1:
@@ -68,24 +86,45 @@ def estimate_rip(op, r, *, samples=10000, seed=0, symmetric=None):
         symmetric = n == m
     if symmetric and n != m:
         raise ValueError("symmetric sampling needs a square operator")
+    rows = n if symmetric else n + m
+    per_sample = 8 * (2 * n * m + rows * 2 * r)
+    chunk = max(1, min(_CHUNK, _INFLIGHT_BYTES // per_sample))
+    workers = max(1, min(_workers(-(-samples // chunk)),
+                         _INFLIGHT_BYTES // (chunk * per_sample)))
     rng = np.random.default_rng(seed)
-    s_min = np.inf
-    s_max = 0.0
-    done = 0
-    while done < samples:
-        k = min(_CHUNK, samples - done)
-        if symmetric:
-            X = rng.standard_normal((k, n, 2 * r))
-            Ms = X @ X.transpose(0, 2, 1)
-        else:
-            Z = rng.standard_normal((k, n + m, 2 * r))
-            Ms = Z[:, :n, :] @ Z[:, n:, :].transpose(0, 2, 1)
-        energy = np.sum(Ms * Ms, axis=(1, 2))
-        meas = op.apply_batch(Ms)
-        ratios = np.sum(meas * meas, axis=1) / energy
-        s_min = min(s_min, float(ratios.min()))
-        s_max = max(s_max, float(ratios.max()))
-        done += k
+    draws = (rng.standard_normal((min(chunk, samples - done), rows, 2 * r))
+             for done in range(0, samples, chunk))
+    lock = threading.Lock()
+
+    # ratio_band runs on several threads, so it calls nothing that the
+    # benchmark's tracer wraps (perfbench/tracing.py): its span stack is
+    # single-threaded.
+    def ratio_band():
+        lo, hi = np.inf, 0.0
+        try:
+            while True:
+                with lock:
+                    Z = next(draws, None)
+                if Z is None:
+                    return lo, hi
+                if symmetric:
+                    Ms = Z @ Z.transpose(0, 2, 1)
+                else:
+                    Ms = Z[:, :n, :] @ Z[:, n:, :].transpose(0, 2, 1)
+                energy = np.sum(Ms * Ms, axis=(1, 2))
+                meas = op.apply_batch(Ms)
+                ratios = np.sum(meas * meas, axis=1) / energy
+                lo = min(lo, float(ratios.min()))
+                hi = max(hi, float(ratios.max()))
+        except BaseException:
+            # Hand out no more chunks, so the other threads stop soon.
+            with lock:
+                draws.close()
+            raise
+
+    bands = _call_on_threads(ratio_band, workers)
+    s_min = min(lo for lo, _ in bands)
+    s_max = max(hi for _, hi in bands)
     if s_max <= 0.0:
         raise ValueError("operator annihilated every sample; cannot calibrate")
     delta = (s_max - s_min) / (s_max + s_min)
@@ -99,6 +138,69 @@ def estimate_rip(op, r, *, samples=10000, seed=0, symmetric=None):
         s_max=s_max,
         symmetric=bool(symmetric),
     )
+
+
+def _workers(chunks):
+    """Threads for ``chunks`` chunks: one per core that the BLAS leaves free."""
+    blas = _blas_threads()
+    if blas is None:
+        return 1
+    return max(1, min(chunks, len(os.sched_getaffinity(0)) // blas))
+
+
+@functools.cache
+def _blas_threads():
+    """Thread count of the loaded OpenBLAS, or None when it cannot be asked."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                threads = int(fn())
+                return threads if threads >= 1 else None
+    return None
+
+
+def _call_on_threads(work, workers):
+    """Results of ``work()`` called once on each of ``workers`` threads.
+
+    The caller's thread is one of them, so one worker starts no thread.
+    Every started thread is joined before this returns or raises; when a
+    call raised, its exception is raised here.
+    """
+    results = [None] * workers
+    errors = []
+
+    def run(i):
+        try:
+            results[i] = work()
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        results[0] = work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def pl_radius_sym(delta, sigma_r):

@@ -6,7 +6,9 @@ terminal summary by conftest.py).  The three experiment configs under
 configs/ are run exactly as the command line would run them.
 """
 
+import contextlib
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -19,12 +21,13 @@ import numpy as np
 import pytest
 from scipy.stats import linregress
 
+from ripgd import rip
 from ripgd.losses import LinearLoss, make_gaussian_operator, make_onebit_loss
 from ripgd.factored import balance_and_augment
 from ripgd.rip import pl_radius_sym, pl_radius_asym, local_region_sym
 from ripgd.solver import level_set_violation
 from ripgd.certify import run_certificate_suites
-from ripgd.cli import load_config, run_experiment
+from ripgd.cli import load_config, main, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -282,3 +285,30 @@ def test_golden_certify_report(tmp_path, threads):
     subprocess.run([sys.executable, "-c", code], check=True, env=env,
                    stdout=subprocess.DEVNULL)
     assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_CERTIFY
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig1b"])
+def test_rip_estimate_same_bytes_across_blas_threads(tmp_path, monkeypatch,
+                                                     name):
+    # With 1 BLAS thread the estimate runs on one thread per free core, with
+    # 2 on fewer; forced onto one thread in-process it is the sequential
+    # loop.  All three write the same JSON.
+    config = str(CONFIG_DIR / (name + ".conf"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("blas%s.json" % threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("from ripgd.cli import main; raise SystemExit(main("
+                "['rip-estimate', %r, '--out', %r]))" % (config, str(out)))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                       stdout=subprocess.DEVNULL)
+        written.append(out.read_bytes())
+    out = tmp_path / "sequential.json"
+    monkeypatch.setattr(rip, "_workers", lambda chunks: 1)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["rip-estimate", config, "--out", str(out)]) == 0
+    assert written == [out.read_bytes()] * 2

@@ -93,11 +93,14 @@ def test_old_call_forms_raise_type_error():
 
 
 def test_cli_import_defers_scipy_special():
-    # scipy.special is loaded only once a 1-bit loss is built.
+    # scipy.special is loaded only once a 1-bit loss is built; importing
+    # the command line loads no thread pool and asks the BLAS nothing.
     code = (
         "import sys, numpy as np\n"
         "import ripgd.cli\n"
         "assert 'scipy.special' not in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert ripgd.rip._blas_threads.cache_info().misses == 0\n"
         "from ripgd.losses import make_onebit_loss\n"
         "loss = make_onebit_loss(np.zeros((2, 2)))\n"
         "assert 'scipy.special' in sys.modules\n"

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ripgd import rip
 from ripgd.losses import LinearOperator, LinearLoss, RecoveryProblem, onebit_rho2
 from ripgd.rip import local_region_sym
 from ripgd.solver import TRACE_HEADER, Trace, pgd_params, gradient_descent
@@ -21,6 +22,8 @@ from ripgd.cli import (
     run_experiment,
     main,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_parse_config():
@@ -202,6 +205,19 @@ def test_build_instance_onebit_truth_capped():
     assert problem.rho1 == 2.0
     assert problem.rho2 == pytest.approx(onebit_rho2(6.0), rel=1e-12)
     assert x0.shape == (6, 2)
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig1b"])
+def test_build_instance_same_with_one_and_two_workers(monkeypatch, name):
+    # The figure configs with the RIP estimate on one thread and on two.
+    config = load_config(str(CONFIGS / (name + ".conf")))
+    built = []
+    for workers in (1, 2):
+        monkeypatch.setattr(rip, "_workers", lambda chunks: workers)
+        problem, _, info, _ = build_instance(config)
+        built.append((info["rip"], problem.rho1,
+                      default_kappa(problem, config.c, config.gamma)))
+    assert built[0] == built[1]
 
 
 def test_run_experiment_pgd_deterministic(tmp_path):

@@ -249,6 +249,10 @@ def test_estimate_rho1_floor_and_determinism():
                       np.zeros(10))
     with pytest.raises(ValueError, match="square loss"):
         estimate_rho1(rect, 1, delta=0.1)
+    # Rank 0 would draw only zero pairs and return the floor unprobed.
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            estimate_rho1(loss2, bad, delta=0.1)
 
 
 def test_recovery_problem_attributes():

@@ -1,8 +1,13 @@
 import math
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ripgd import rip
 from ripgd.losses import LinearOperator, make_gaussian_operator
 from ripgd.rip import (
     RipEstimate,
@@ -158,3 +163,146 @@ def test_gaussian_operator_concentrates():
     est = estimate_rip(op, 1, samples=800, seed=9)
     assert est.delta < 0.6
     assert est.scale > 0.0
+
+
+def reference_estimate(op, r, samples, seed, symmetric):
+    # The sequential chunk loop: 256 samples at a time, one running band.
+    n, m = op.n, op.m
+    rng = np.random.default_rng(seed)
+    s_min = np.inf
+    s_max = 0.0
+    done = 0
+    while done < samples:
+        k = min(256, samples - done)
+        if symmetric:
+            X = rng.standard_normal((k, n, 2 * r))
+            Ms = X @ X.transpose(0, 2, 1)
+        else:
+            Z = rng.standard_normal((k, n + m, 2 * r))
+            Ms = Z[:, :n, :] @ Z[:, n:, :].transpose(0, 2, 1)
+        energy = np.sum(Ms * Ms, axis=(1, 2))
+        meas = op.apply_batch(Ms)
+        ratios = np.sum(meas * meas, axis=1) / energy
+        s_min = min(s_min, float(ratios.min()))
+        s_max = max(s_max, float(ratios.max()))
+        done += k
+    return RipEstimate(
+        scale=float(op.scale * np.sqrt(2.0 / (s_max + s_min))),
+        delta=float((s_max - s_min) / (s_max + s_min)),
+        samples=samples, seed=seed, s_min=s_min, s_max=s_max,
+        symmetric=symmetric)
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(rip, "_workers", lambda chunks: workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("samples", [1, 255, 256, 257, 1000])
+@pytest.mark.parametrize("shape", [(5, 5, 40, 2, True), (4, 3, 25, 2, False)])
+def test_estimate_equals_sequential_reference(monkeypatch, workers, samples,
+                                              shape):
+    # The threaded estimate draws the same chunks from the one generator and
+    # keeps exact extremes, so every field equals the sequential loop's.
+    n, m, p, r, symmetric = shape
+    op = make_gaussian_operator(n, m, p, seed=12).with_scale(0.3)
+    want = reference_estimate(op, r, samples, 5, symmetric)
+    force_workers(monkeypatch, workers)
+    got = estimate_rip(op, r, samples=samples, seed=5, symmetric=symmetric)
+    for field in ("scale", "delta", "samples", "seed", "s_min", "s_max",
+                  "symmetric"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+class FailingOperator:
+    """Operator stub whose apply_batch raises on call ``fail_at + 1`` only.
+
+    The other calls sleep 5 ms, so the failing thread gets to run while
+    they are measured.
+    """
+
+    n = m = 4
+    scale = 1.0
+
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def apply_batch(self, Ms):
+        with self.lock:
+            self.calls += 1
+            calls = self.calls
+        if calls == self.fail_at + 1:
+            raise RuntimeError("apply_batch failed")
+        time.sleep(0.005)
+        return Ms.reshape(len(Ms), -1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("fail_at", [0, 2])
+def test_estimate_raises_worker_error_in_caller(monkeypatch, workers, fail_at):
+    force_workers(monkeypatch, workers)
+    before = threading.active_count()
+    op = FailingOperator(fail_at)
+    with pytest.raises(RuntimeError, match="apply_batch failed"):
+        estimate_rip(op, 1, samples=5000, seed=0)
+    assert threading.active_count() == before
+    # A failure stops the hand-out of the 20 chunks.
+    assert op.calls < 20
+
+
+class RecordingOperator(LinearOperator):
+    """Sensing operator that records the size of each batch it measures."""
+
+    def apply_batch(self, Ms):
+        self.batches.append(len(Ms))
+        return super().apply_batch(Ms)
+
+
+def recording_operator(n, m, p):
+    op = RecordingOperator(make_gaussian_operator(n, m, p, seed=1).matrices)
+    op.batches = []
+    return op
+
+
+def test_estimate_many_threads_fast_switching(monkeypatch):
+    # More threads than cores, switching often: every chunk is measured
+    # once and the band still equals the sequential loop's.
+    force_workers(monkeypatch, 8)
+    op = recording_operator(4, 3, 25)
+    want = reference_estimate(op, 1, 5000, 3, False)
+    op.batches = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = estimate_rip(op, 1, samples=5000, seed=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(op.batches) == [136] + [256] * 19
+    assert got == want
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_chunk_is_256_at_figure_shapes(monkeypatch, workers):
+    force_workers(monkeypatch, workers)
+    for n, m, p, r in ((40, 40, 120, 1), (10, 8, 220, 5)):
+        op = recording_operator(n, m, p)
+        estimate_rip(op, r, samples=600, seed=0)
+        assert sorted(op.batches) == [88, 256, 256]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimate_memory_stays_in_budget(monkeypatch, workers):
+    # At n = m = 300 one 256-sample chunk holds about 370 MB; the chunk
+    # shrinks so that the chunks in flight fit the budget, whatever W is.
+    force_workers(monkeypatch, workers)
+    op = recording_operator(300, 300, 2)
+    tracemalloc.start()
+    try:
+        estimate_rip(op, 1, samples=60, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1 <= max(op.batches) < 256 and sum(op.batches) == 60
+    assert peak < rip._INFLIGHT_BYTES + 2 ** 20
