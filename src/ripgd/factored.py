@@ -92,10 +92,18 @@ class LiftedLoss(MatrixLoss):
     - ||N12||^2 - ||N21||^2), so minimizing over N = X X^T with
     X = [U; V] recovers the asymmetric problem with balanced factors.
 
-    When N12 equals N21^T exactly, as it does for every N = X X^T, the inner
-    loss is evaluated once, on N12, and that result stands in for N21^T.
-    Equal inputs give equal outputs, so the value and gradient are the same
-    bits as with two evaluations.
+    The balancing gradient is B = phi/2 * S * N, where the sign matrix S is
+    +1 on the diagonal blocks and -1 off them; the balancing value is
+    <N, B> / 2, one signed sum over the whole matrix, which rounds
+    differently from four block sums only in the last bits.  The inner
+    gradients are added to the off-diagonal blocks of B, which gives the
+    same bits as g/2 - phi/2 * N12 because a + (-b) rounds exactly as
+    a - b does.
+
+    When N12 and N21^T hold the same bits, as they do for every N = X X^T,
+    the inner loss is evaluated once, on N12, and that result stands in for
+    N21^T.  Identical inputs give identical outputs, so the value and
+    gradient are the same bits as with two evaluations.
     """
 
     def __init__(self, inner, phi):
@@ -103,65 +111,60 @@ class LiftedLoss(MatrixLoss):
             raise ValueError("balancing weight phi must be positive")
         self.inner = inner
         self.phi = float(phi)
-        self.split = inner.n
+        self.split = k = inner.n
         self.n = inner.n + inner.m
         self.m = self.n
         self.constant_hessian = inner.constant_hessian
+        self._sign = np.ones((self.n, self.n))
+        self._sign[:k, k:] = self._sign[k:, :k] = -1.0
+        self._half_phi_sign = 0.5 * self.phi * self._sign
 
-    def _blocks(self, M):
+    def _add_inner(self, B, g12, g21):
+        """Add the inner gradients at N12 and N21^T to the balancing part B."""
         k = self.split
-        return M[:k, :k], M[:k, k:], M[k:, :k], M[k:, k:]
-
-    def _assemble_grad(self, M, g12, g21):
-        """Lifted gradient from the inner gradients at N12 and N21^T.
-
-        The balancing part is phi/2 * M with the off-diagonal blocks negated.
-        """
-        k = self.split
-        G = 0.5 * self.phi * M
-        G[:k, k:] = 0.5 * g12 - G[:k, k:]
-        G[k:, :k] = 0.5 * g21.T - G[k:, :k]
-        return G
+        top, bottom = B[:k, k:], B[k:, :k]
+        top += 0.5 * g12
+        bottom += 0.5 * g21.T
+        return B
 
     def value(self, M):
         return self.value_and_grad(M)[0]
 
     def grad(self, M):
-        # Not via value_and_grad: the block sums of the value would add a
-        # quarter to estimate_rho1, which calls only the gradient.
+        # Not via value_and_grad: estimate_rho1 calls only the gradient and
+        # would discard the inner values and the balancing sum.
         M = self._check(M)
-        _, b12, b21, _ = self._blocks(M)
+        k = self.split
+        b12, b21 = M[:k, k:], M[k:, :k]
         g12 = self.inner.grad(b12)
-        g21 = g12 if (b12 == b21.T).all() else self.inner.grad(b21.T)
-        return self._assemble_grad(M, g12, g21)
+        same = b12.tobytes() == b21.T.tobytes()
+        g21 = g12 if same else self.inner.grad(b21.T)
+        return self._add_inner(self._half_phi_sign * M, g12, g21)
 
     def value_and_grad(self, M):
         M = self._check(M)
-        b11, b12, b21, b22 = self._blocks(M)
+        k = self.split
+        b12, b21 = M[:k, k:], M[k:, :k]
         v12, g12 = self.inner.value_and_grad(b12)
-        if (b12 == b21.T).all():
+        if b12.tobytes() == b21.T.tobytes():
             v21, g21 = v12, g12
         else:
             v21, g21 = self.inner.value_and_grad(b21.T)
-        bal = (
-            (b11 * b11).sum() + (b22 * b22).sum()
-            - (b12 * b12).sum() - (b21 * b21).sum()
-        )
-        val = 0.5 * (v12 + v21) + 0.25 * self.phi * bal
-        return float(val), self._assemble_grad(M, g12, g21)
+        B = self._half_phi_sign * M
+        val = 0.5 * (v12 + v21) + 0.5 * np.vdot(M, B)
+        return float(val), self._add_inner(B, g12, g21)
 
     def hess_gram(self, M, dirs):
         M = self._check(M)
         dirs = np.asarray(dirs, dtype=float)
         k = self.split
-        _, m12, m21, _ = self._blocks(M)
-        quad = (self.inner.hess_gram(m12, dirs[:, :k, k:])
-                + self.inner.hess_gram(m21.T, dirs[:, k:, :k].transpose(0, 2, 1)))
+        quad = (self.inner.hess_gram(M[:k, k:], dirs[:, :k, k:])
+                + self.inner.hess_gram(M[k:, :k].T,
+                                       dirs[:, k:, :k].transpose(0, 2, 1)))
         # The balancing term is +phi/2 on the diagonal blocks, -phi/2 off them.
-        sign = np.ones((self.n, self.n))
-        sign[:k, k:] = sign[k:, :k] = -1.0
         flat = dirs.reshape(len(dirs), -1)
-        return 0.5 * quad + 0.5 * self.phi * ((flat * sign.reshape(-1)) @ flat.T)
+        return (0.5 * quad
+                + 0.5 * self.phi * ((flat * self._sign.reshape(-1)) @ flat.T))
 
 
 def balance_and_augment(m_star, r):

@@ -11,11 +11,17 @@ import pytest
 import ripgd
 from ripgd.certify import range_split, sym_mat, verify_gradhessian, x_operator
 from ripgd.cli import default_kappa
-from ripgd.factored import g_hess_min_eig, hess_matrix
+from ripgd.factored import (
+    LiftedLoss,
+    balance_and_augment,
+    g_hess_min_eig,
+    hess_matrix,
+)
 from ripgd.losses import (
     LinearLoss,
     LinearOperator,
     RecoveryProblem,
+    ScaledLoss,
     estimate_rho1,
     make_onebit_loss,
     onebit_rho2,
@@ -144,8 +150,10 @@ def test_benchmark_traced_names_exist():
 def test_benchmark_tracer_sees_every_loss_evaluation():
     # The benchmark's gate fails when a traced layer records no calls, and
     # an override (say OneBitLoss.value_and_grad) would hide the wrapped
-    # MatrixLoss method.  Both spans must see one call per trace row plus
-    # one per perturbation, on the 1-bit gd path and the linear pgd path.
+    # MatrixLoss method.  The spans must see one call per trace row plus
+    # one per perturbation, on the 1-bit gd path, the linear pgd path and
+    # the lifted pgd path, where a step that bypassed the lift's
+    # value_and_grad would leave its span empty.
     tracing = load_tracing()
     m_hat = np.array([[1.0, 0.5, -0.25], [0.5, 0.25, -0.125],
                       [-0.25, -0.125, 0.0625]])
@@ -157,12 +165,24 @@ def test_benchmark_tracer_sees_every_loss_evaluation():
     scalar = RecoveryProblem(LinearLoss(op, np.ones(1)), np.ones((1, 1)), 1,
                              0.0, 1.0, 0.0, 1.0)
     params = pgd_params(scalar, c=0.5, kappa=1.0, gamma=0.1)
+    # A 2x1 truth through the scaled balanced lift, from the saddle X = 0:
+    # one perturbation, then plain steps.
+    m_star = np.array([[1.0], [0.5]])
+    lin = LinearOperator(np.eye(2).reshape(2, 2, 1))
+    _, _, m_tilde = balance_and_augment(m_star, 1)
+    lifted = RecoveryProblem(
+        ScaledLoss(LiftedLoss(LinearLoss(lin, lin.apply(m_star)), 0.5), 2.0),
+        m_tilde, 1, 0.0, 3.0, 0.0, np.linalg.norm(m_tilde))
+    lifted_params = pgd_params(lifted, c=0.5, kappa=1.0, gamma=0.1)
     runs = [
-        lambda: gradient_descent(onebit, x0, eta=0.05, max_iters=40, tol=0.0),
-        lambda: perturbed_gd(scalar, np.zeros((1, 1)), params,
-                             eps_target=1e-6, max_iters=20000, seed=3),
+        (lambda: gradient_descent(onebit, x0, eta=0.05, max_iters=40,
+                                  tol=0.0), False),
+        (lambda: perturbed_gd(lifted, np.zeros((3, 1)), lifted_params,
+                              eps_target=1e-6, max_iters=300, seed=3), True),
+        (lambda: perturbed_gd(scalar, np.zeros((1, 1)), params,
+                              eps_target=1e-6, max_iters=20000, seed=3), False),
     ]
-    for run in runs:
+    for run, is_lifted in runs:
         tracer = tracing.Tracer()
         patches = tracing.Patches()
         try:
@@ -174,5 +194,9 @@ def test_benchmark_tracer_sees_every_loss_evaluation():
         expected = len(trace) + int(trace.perturbed.sum())
         assert names.count("factored.value_and_grad") == expected
         assert names.count("losses.value_and_grad") == expected
+        lifted_spans = names.count("factored.lifted_value_and_grad")
+        assert lifted_spans == (expected if is_lifted else 0)
+        if is_lifted:
+            assert trace.perturbed.any()
     # The pgd run took both the perturbation and the revert branch.
     assert trace.perturbed.any() and trace.phase2_start

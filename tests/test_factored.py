@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -263,9 +268,19 @@ def two_evaluation_lift(inner, phi, M):
     return float(0.5 * (v12 + v21) + 0.25 * phi * bal), G
 
 
+def lift_rounding(want_v, phi, M):
+    """Bound on the rounding between the lift's value and the block sums.
+
+    LiftedLoss takes the balancing value as one signed sum over M, the
+    reference as four block sums, so the two may differ in the last bits of
+    the balancing term, whose terms are at most phi/4 * ||M||^2.
+    """
+    return 1e-14 * (abs(want_v) + 0.25 * phi * (M * M).sum())
+
+
 def test_lifted_loss_single_inner_evaluation():
     # N = X X^T has N12 == N21^T bit for bit, so one inner evaluation
-    # serves both blocks and the result keeps the two-evaluation bits.
+    # serves both blocks; the gradient keeps the two-evaluation bits.
     rng = np.random.default_rng(18)
     base = LinearLoss(make_gaussian_operator(10, 8, 220, seed=9),
                       rng.standard_normal(220))
@@ -276,7 +291,7 @@ def test_lifted_loss_single_inner_evaluation():
     want_v, want_g = two_evaluation_lift(base, 0.4, N)
     v, g = lifted.value_and_grad(N)
     assert counted.calls == 1
-    assert v == want_v
+    assert abs(v - want_v) <= lift_rounding(want_v, 0.4, N)
     np.testing.assert_array_equal(g, want_g)
     counted.calls = 0
     np.testing.assert_array_equal(lifted.grad(N), want_g)
@@ -294,7 +309,7 @@ def test_lifted_loss_asymmetric_input_evaluates_both_blocks():
     want_v, want_g = two_evaluation_lift(base, phi, N)
     v, g = lifted.value_and_grad(N)
     assert counted.calls == 2
-    assert v == want_v
+    assert abs(v - want_v) <= lift_rounding(want_v, phi, N)
     np.testing.assert_array_equal(g, want_g)
     counted.calls = 0
     np.testing.assert_array_equal(lifted.grad(N), want_g)
@@ -303,6 +318,42 @@ def test_lifted_loss_asymmetric_input_evaluates_both_blocks():
            - np.sum(N[:3, 3:] ** 2) - np.sum(N[3:, :3] ** 2))
     want = 0.5 * (base.value(N[:3, 3:]) + base.value(N[3:, :3].T)) + 0.25 * phi * bal
     assert v == pytest.approx(want, rel=1e-12)
+
+
+# Prints the lifted value and gradient bits at fig1b's shapes: a 10x8 inner
+# loss with 220 measurements and an 18x5 factor, on X X^T and on a matrix
+# with unequal off-diagonal blocks.
+LIFT_BITS = """
+import hashlib
+import numpy as np
+from ripgd.factored import LiftedLoss
+from ripgd.losses import LinearLoss, make_gaussian_operator
+rng = np.random.default_rng(18)
+lifted = LiftedLoss(LinearLoss(make_gaussian_operator(10, 8, 220, seed=9),
+                               rng.standard_normal(220)), 0.4)
+X = rng.standard_normal((18, 5))
+for N in (X @ X.T, rng.standard_normal((18, 18))):
+    v, g = lifted.value_and_grad(N)
+    print(v.hex(), hashlib.sha256(g.tobytes()).hexdigest(),
+          hashlib.sha256(lifted.grad(N).tobytes()).hexdigest())
+"""
+
+
+def test_lifted_loss_same_bits_across_blas_threads():
+    # The balancing value is a BLAS dot product; the run artifacts are
+    # pinned for 1 and 2 BLAS threads, so the lift must not depend on it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        printed.append(subprocess.run(
+            [sys.executable, "-c", LIFT_BITS], check=True, env=env,
+            capture_output=True, text=True).stdout)
+    assert len(printed[0].splitlines()) == 2
+    assert printed[0] == printed[1]
 
 
 def test_lifted_validation():
