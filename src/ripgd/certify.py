@@ -16,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .losses import LinearLoss, make_gaussian_operator
-from .factored import _basis_images, _check_dense, g_grad, g_hess_min_eig
+from .losses import LinearLoss, _check_dense, _norm, make_gaussian_operator
+from .factored import _basis_images, _block_diag, g_grad, g_hess_min_eig
 from .rip import pl_radius_sym
 
 _RANGE_TOL = 1e-10
@@ -135,9 +135,9 @@ def verify_gradhessian(loss, X, m_star, delta):
     Xop = x_operator(X)
     e = vec(X @ X.T - m_star)
     he = H @ e
-    lhs_grad = float(np.linalg.norm(Xop.T @ he))
-    rhs_grad = float(np.linalg.norm(g_grad(loss, X)))
-    comparison = 2.0 * np.kron(np.eye(r), sym_mat(he)) + (1.0 + delta) * Xop.T @ Xop
+    lhs_grad = _norm(Xop.T @ he)
+    rhs_grad = _norm(g_grad(loss, X))
+    comparison = 2.0 * _block_diag(sym_mat(he), r) + (1.0 + delta) * Xop.T @ Xop
     lam_cert = float(np.linalg.eigvalsh(comparison)[0])
     lam_hess = g_hess_min_eig(loss, X)
     report = CertificateReport(kind="gradhessian")
@@ -160,11 +160,20 @@ def align(X, Z):
 
 def _require_aligned(X, Z):
     G = X.T @ Z
-    scale = 1.0 + np.linalg.norm(G)
-    if np.linalg.norm(G - G.T) > 1e-8 * scale:
+    scale = 1.0 + _norm(G)
+    if _norm(G - G.T) > 1e-8 * scale:
         raise ValueError("X^T Z is not symmetric; align Z first")
     if np.linalg.eigvalsh(0.5 * (G + G.T))[0] < -1e-8 * scale:
         raise ValueError("X^T Z is not positive semidefinite; align Z first")
+
+
+def _range_parts(X, Z):
+    """The parts of Z inside and outside the range of X (float arrays)."""
+    U, sv, _ = np.linalg.svd(X, full_matrices=False)
+    keep = sv > _RANGE_TOL * max(1.0, sv[0] if len(sv) else 1.0)
+    basis = U[:, keep]
+    z_range = basis @ (basis.T @ Z)
+    return z_range, Z - z_range
 
 
 def range_split(X, Z):
@@ -178,11 +187,7 @@ def range_split(X, Z):
     """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    U, sv, _ = np.linalg.svd(X, full_matrices=False)
-    keep = sv > _RANGE_TOL * max(1.0, sv[0] if len(sv) else 1.0)
-    basis = U[:, keep]
-    z_range = basis @ (basis.T @ Z)
-    z_perp = Z - z_range
+    z_range, z_perp = _range_parts(X, Z)
     R = np.linalg.pinv(X) @ z_range
     y_hat = 0.5 * X - 0.5 * X @ R @ R.T - z_perp @ R.T
     return y_hat, z_perp, R
@@ -199,8 +204,8 @@ def normcompare_check(X, Z):
     _require_aligned(X, Z)
     r = Z.shape[1]
     sig = np.linalg.svd(Z, compute_uv=False)
-    lhs = sig[r - 1] ** 2 * np.linalg.norm(X - Z) ** 2
-    rhs = np.linalg.norm(X @ X.T - Z @ Z.T) ** 2 / (2.0 * (math.sqrt(2.0) - 1.0))
+    lhs = sig[r - 1] ** 2 * _norm(X - Z) ** 2
+    rhs = _norm(X @ X.T - Z @ Z.T) ** 2 / (2.0 * (math.sqrt(2.0) - 1.0))
     return bool(lhs <= rhs + 1e-10)
 
 
@@ -224,19 +229,19 @@ def pl_dual_bound(X, Z, mu_prime, C_tilde, sigma_r):
     if not 0 < C_tilde < min(limit, math.sqrt(sigma_r)):
         raise ValueError("C_tilde must lie in (0, %.6g)" % min(limit, math.sqrt(sigma_r)))
     Z = align(X, Z)
-    gap = float(np.linalg.norm(X - Z))
+    gap = _norm(X - Z)
     if gap > C_tilde:
         raise ValueError("||X - Z||_F exceeds C_tilde")
     e = vec(X @ X.T - Z @ Z.T)
-    e_norm = float(np.linalg.norm(e))
+    e_norm = _norm(e)
     if e_norm <= 1e-14:
         raise ValueError("X X^T equals Z Z^T; the dual objective is undefined")
     Xop = x_operator(X)
     y = np.linalg.lstsq(Xop, e, rcond=None)[0]
     img = Xop @ y
-    img_norm = float(np.linalg.norm(img))
-    y_norm = float(np.linalg.norm(y))
-    resid = float(np.linalg.norm(e - img))
+    img_norm = _norm(img)
+    y_norm = _norm(y)
+    resid = _norm(e - img)
     sig_x = np.linalg.svd(X, compute_uv=False)
     sigma_r_x2 = float(sig_x[X.shape[1] - 1] ** 2)
     report = CertificateReport(kind="pl_dual")
@@ -273,13 +278,13 @@ def saddle_eta0(X, Z, zeta=None, kappa=None):
     X = np.asarray(X, dtype=float)
     Z = align(X, Z)
     err = X @ X.T - Z @ Z.T
-    err_norm = float(np.linalg.norm(err))
-    if err_norm <= 1e-12 * max(1.0, float(np.linalg.norm(X @ X.T))):
+    err_norm = _norm(err)
+    if err_norm <= 1e-12 * max(1.0, _norm(X @ X.T)):
         raise ValueError("X X^T equals Z Z^T; no saddle certificate applies")
     r = X.shape[1]
-    _, z_perp, _ = range_split(X, Z)
+    z_perp = _range_parts(X, Z)[1]
     pzz = z_perp @ z_perp.T
-    pzz_norm = float(np.linalg.norm(pzz))
+    pzz_norm = _norm(pzz)
     report = CertificateReport(kind="saddle")
     if zeta is not None and kappa is not None:
         if not zeta > 0:
@@ -355,7 +360,7 @@ def run_certificate_suites(seed=0, gradhessian=100, saddle=500, pl_dual=200,
             Z = X @ rng.standard_normal((r, r))
         else:
             Z = rng.standard_normal((n, r))
-        if np.linalg.norm(X @ X.T - Z @ Z.T) <= 1e-8:
+        if _norm(X @ X.T - Z @ Z.T) <= 1e-8:
             continue
         rep = saddle_eta0(X, Z)
         failures += 0 if rep.passed else 1
@@ -372,12 +377,12 @@ def run_certificate_suites(seed=0, gradhessian=100, saddle=500, pl_dual=200,
         n = int(rng.integers(3, 7))
         r = int(rng.integers(1, 3))
         Z = rng.standard_normal((n, r))
-        while np.linalg.svd(Z, compute_uv=False)[r - 1] <= 0.3:
+        while (sig_z := np.linalg.svd(Z, compute_uv=False)[r - 1]) <= 0.3:
             Z = rng.standard_normal((n, r))
-        sig = np.linalg.svd(Z, compute_uv=False)[r - 1] ** 2
+        sig = sig_z ** 2
         c_tilde = 0.5 * pl_radius_sym(0.0, sig)
         E = rng.standard_normal((n, r))
-        E *= rng.uniform(0.05, 0.999) * c_tilde / np.linalg.norm(E)
+        E *= rng.uniform(0.05, 0.999) * c_tilde / _norm(E)
         X = Z + E
         mu = rng.uniform(0.0, 0.3) * math.sqrt(sig)
         rep = pl_dual_bound(X, Z, mu, c_tilde, sig)

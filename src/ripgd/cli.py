@@ -46,6 +46,7 @@ from .losses import (
     LinearLoss,
     RecoveryProblem,
     ScaledLoss,
+    _check_dense,
     estimate_rho1,
     make_gaussian_operator,
     make_onebit_loss,
@@ -130,6 +131,13 @@ class ExperimentConfig:
                 raise ValueError("onebit observes every entry; drop p")
         elif self.p is None or self.p < 1:
             raise ValueError("%s needs p >= 1 measurements" % self.kind)
+        else:
+            # Refused here, before any work, as make_gaussian_operator
+            # would refuse to draw the p sensing matrices.
+            try:
+                _check_dense(self.p * self.n * self.m)
+            except ValueError as exc:
+                raise ValueError("config keys p, n, m: %s" % exc) from None
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.solver is None:

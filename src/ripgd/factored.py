@@ -8,18 +8,7 @@ penalty, after which the symmetric machinery applies unchanged.
 
 import numpy as np
 
-from .losses import MatrixLoss, check_rank
-
-# Most entries of one dense array built over the factor or matrix space,
-# 128 MB of float64; larger arrays are refused before they are allocated.
-DENSE_LIMIT = 4000 * 4000
-
-
-def _check_dense(entries):
-    """Refuse to build a dense array of more than DENSE_LIMIT entries."""
-    if entries > DENSE_LIMIT:
-        raise ValueError("%d entries exceed the dense limit %d"
-                         % (entries, DENSE_LIMIT))
+from .losses import MatrixLoss, _check_dense, check_rank
 
 
 def _check_factor(loss, X):
@@ -67,6 +56,15 @@ def _basis_images(X):
     return out
 
 
+def _block_diag(A, r):
+    """I_r kron A: the product ``np.kron(np.eye(r), A)`` forms, so its bits.
+
+    The off-diagonal blocks are 0.0 * A, with its signed zeros.
+    """
+    n, m = A.shape
+    return (np.eye(r)[:, None, :, None] * A[:, None, :]).reshape(r * n, r * m)
+
+
 def hess_matrix(loss, X):
     """Dense factored Hessian in the column-major factor basis."""
     X = _check_factor(loss, X)
@@ -75,7 +73,7 @@ def hess_matrix(loss, X):
     _check_dense(n * r * n * max(n, r))
     M = X @ X.T
     W = loss.grad(M)
-    G = loss.hess_gram(M, _basis_images(X)) + np.kron(np.eye(r), W + W.T)
+    G = loss.hess_gram(M, _basis_images(X)) + _block_diag(W + W.T, r)
     return 0.5 * (G + G.T)
 
 

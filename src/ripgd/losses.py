@@ -8,13 +8,36 @@ the package needs from a loss: the dense Hessians in ``factored`` and
 ``certify`` are built from that Gram.
 """
 
+import math
+
 import numpy as np
 
 # Absolute tolerance used for numerical rank decisions throughout.
 RANK_TOL = 1e-10
 
+# Most entries of one dense array built over the factor or matrix space,
+# or of one sensing-matrix stack, 128 MB of float64; larger arrays are
+# refused before they are allocated.
+DENSE_LIMIT = 4000 * 4000
+
 # Random pairs drawn by estimate_rho1.
 RHO1_SAMPLES = 200
+
+
+def _check_dense(entries):
+    """Refuse to build a dense array of more than DENSE_LIMIT entries."""
+    if entries > DENSE_LIMIT:
+        raise ValueError("%d entries exceed the dense limit %d"
+                         % (entries, DENSE_LIMIT))
+
+
+def _norm(a):
+    """Frobenius norm, bit-equal to ``np.linalg.norm(a)`` for real ``a``.
+
+    numpy's own ``ord=None`` arithmetic, without the wrapper's overhead.
+    """
+    a = a.ravel(order="K")
+    return math.sqrt(a.dot(a))
 
 
 class LinearOperator:
@@ -66,7 +89,10 @@ class LinearOperator:
         Ms = np.asarray(Ms, dtype=float)
         if Ms.ndim != 3 or Ms.shape[1:] != (self.n, self.m):
             raise ValueError("expected a (k, %d, %d) stack" % (self.n, self.m))
-        return self.scale * np.tensordot(Ms, self.matrices, axes=([1, 2], [1, 2]))
+        # One GEMM on the flat row view; tensordot would also copy the
+        # sensing stack, transposed, on every call.
+        flat = Ms.reshape(len(Ms), self._rows.shape[1])
+        return self.scale * (flat @ self._rows.T)
 
     def adjoint(self, v):
         v = np.asarray(v, dtype=float)
@@ -83,6 +109,7 @@ def make_gaussian_operator(n, m, p, seed):
     """Sensing operator with p iid standard normal n-by-m matrices, scale 1."""
     if min(n, m, p) < 1:
         raise ValueError("n, m, p must be positive")
+    _check_dense(p * n * m)
     rng = np.random.default_rng(seed)
     return LinearOperator(rng.standard_normal((p, n, m)), scale=1.0)
 

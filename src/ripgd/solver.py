@@ -18,6 +18,7 @@ import numpy as np
 
 from . import rip
 from .factored import g_value_and_grad, g_grad
+from .losses import _norm
 
 
 @dataclass
@@ -170,15 +171,6 @@ _COLUMNS = tuple((f.name, f.metadata["dtype"]) for f in fields(Trace)
 TRACE_HEADER = ",".join(name for name, _ in _COLUMNS)
 _ROW_FORMAT = ",".join("%.17g" if dtype is float else "%d"
                        for _, dtype in _COLUMNS) + "\n"
-
-
-def _norm(a):
-    """Frobenius norm, bit-equal to ``np.linalg.norm(a)`` for real ``a``.
-
-    numpy's own ``ord=None`` arithmetic, without the wrapper's overhead.
-    """
-    a = a.ravel(order="K")
-    return math.sqrt(a.dot(a))
 
 
 def _descend(problem, X, eta, max_iters, eps_target, tol=None, params=None,

@@ -55,6 +55,10 @@ GOLDEN = {
 # sha256 of the report that `ripgd certify --out` writes at the default
 # counts and seed 0.
 GOLDEN_CERTIFY = "f9d69a06a830e970cd1f3fb3972e0539c1f9e5ab5b44e357227b583f331e7c1d"
+# The same at seed 1.  A report keeps only the extremes of each suite, so a
+# second seed's report catches more checks whose bits moved.
+GOLDEN_CERTIFY_SEED1 = (
+    "7121dfae4b439b598ddea56e4cc5dd9af2bb5562d7c6ef891dc39a4a2306f989")
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +292,13 @@ def test_golden_certify_report(tmp_path, threads):
     subprocess.run([sys.executable, "-c", code], check=True, env=env,
                    stdout=subprocess.DEVNULL)
     assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_CERTIFY
+
+
+def test_golden_certify_report_seed1(tmp_path):
+    report = tmp_path / "certify.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["certify", "--seed", "1", "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_CERTIFY_SEED1
 
 
 @pytest.mark.parametrize("name", ["fig1a", "fig1b"])

@@ -122,19 +122,19 @@ def test_cli_import_defers_scipy_special():
                    check=True, env=env, stdout=subprocess.DEVNULL)
 
 
-def load_tracing():
+def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+        "perfbench_" + name, ROOT / "perfbench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_traced_names_exist():
     # perfbench replaces these callables by name and refuses to run if one
     # is gone; renaming one in ripgd must fail here, not only in the
     # traced benchmark.
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     entries = [entry for group in tracing.TRACED.values() for entry in group]
     missing = []
     for module_name, path in entries + tracing.SolveClock.ENTRIES:
@@ -154,7 +154,7 @@ def test_benchmark_tracer_sees_every_loss_evaluation():
     # one per perturbation, on the 1-bit gd path, the linear pgd path and
     # the lifted pgd path, where a step that bypassed the lift's
     # value_and_grad would leave its span empty.
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     m_hat = np.array([[1.0, 0.5, -0.25], [0.5, 0.25, -0.125],
                       [-0.25, -0.125, 0.0625]])
     x0 = np.full((3, 1), 0.3)
@@ -200,3 +200,26 @@ def test_benchmark_tracer_sees_every_loss_evaluation():
             assert trace.perturbed.any()
     # The pgd run took both the perturbation and the revert branch.
     assert trace.perturbed.any() and trace.phase2_start
+
+
+def test_benchmark_tracer_sees_every_certify_layer():
+    # The traced certify-sweep fails on a layer that records no calls, so a
+    # check that stops calling saddle_eta0, x_operator, g_hess_min_eig or
+    # another traced certificate function must fail here first.
+    tracing = load_perfbench("tracing")
+    layers = load_perfbench("layers")
+    counts = {"gradhessian": 3, "saddle": 6, "pl_dual": 3, "normcompare": 4}
+    tracer = tracing.Tracer()
+    patches = tracing.Patches()
+    try:
+        tracer.install(patches)
+        report = ripgd.certify.run_certificate_suites(seed=0, **counts)
+    finally:
+        patches.restore()
+    assert all(suite["failures"] == 0 for suite in report.values())
+    spans = layers.Spans(tracer)
+    assert layers.missing_layers(spans, "certify-sweep") == []
+    assert spans.count("certify.verify_gradhessian") == counts["gradhessian"]
+    assert spans.count("factored.hess_min_eig") == counts["gradhessian"]
+    assert spans.count("certify.pl_dual_bound") == counts["pl_dual"]
+    assert spans.count("certify.normcompare_check") == counts["normcompare"]

@@ -263,6 +263,20 @@ def test_range_split_identities():
         assert np.allclose(X @ R, Z - z_perp, atol=1e-10)
 
 
+def test_range_split_accepts_array_likes():
+    # Nested lists are converted, and an X with no columns has an empty
+    # range: all of Z is z_perp and R has no rows.
+    X = [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]
+    Z = [[0.5, 1.0], [1.0, 0.0], [0.0, 1.0]]
+    got = range_split(X, Z)
+    want = range_split(np.array(X), np.array(Z))
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    y_hat, z_perp, R = range_split(np.zeros((3, 0)), np.ones((3, 2)))
+    assert y_hat.shape == (3, 0) and R.shape == (0, 2)
+    assert z_perp.tobytes() == np.ones((3, 2)).tobytes()
+
+
 def test_normcompare():
     # Scalar check: X=2, Z=1 gives lhs 1 against 9/(2(sqrt(2)-1)).
     assert 9.0 / (2.0 * (math.sqrt(2.0) - 1.0)) == pytest.approx(

@@ -371,6 +371,16 @@ def test_main_reports_bad_input_as_usage_error(tmp_path, capsys):
         "got onebit\n")
 
 
+def test_main_run_refuses_oversized_operator(tmp_path, capsys):
+    # 4001 * 4001 one-entry sensing matrices pass the dense limit.
+    cfg_path = tmp_path / "big.conf"
+    cfg_path.write_text("kind = sym-linear\nn = 1\nr = 1\np = 16008001\n")
+    for command in ("run", "rip-estimate"):
+        assert usage_error(capsys, [command, str(cfg_path)]) == (
+            "ripgd %s: error: config keys p, n, m: 16008001 entries exceed "
+            "the dense limit 16000000\n" % command)
+
+
 def test_main_rip_estimate(tmp_path, capsys):
     cfg_path = tmp_path / "sym.conf"
     cfg_path.write_text("kind = sym-linear\nn = 8\nr = 1\np = 40\n"

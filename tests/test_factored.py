@@ -21,6 +21,7 @@ from ripgd.factored import (
     hess_matrix,
     LiftedLoss,
     balance_and_augment,
+    _block_diag,
 )
 
 
@@ -173,6 +174,20 @@ def test_hess_matrix_size_limit(refused_before_allocation):
     loss = OneBitLoss(np.full((253, 253), 0.5))
     refused_before_allocation(hess_matrix, loss, np.ones((253, 1)))
     refused_before_allocation(g_hess_min_eig, loss, np.ones((253, 1)))
+
+
+def test_block_diag_same_bits_as_kron():
+    # kron's off-diagonal blocks are 0.0 * A, so the negative entries of A
+    # leave -0.0 there; _block_diag must keep those signed zeros.
+    A = np.array([[1.5, -2.0, 0.0], [-0.0, 3.25, -1e-300], [7.0, -4.5, 2.0]])
+    rng = np.random.default_rng(8)
+    for B in (A, rng.standard_normal((4, 4)), rng.standard_normal((3, 2))):
+        assert (B < 0).any()
+        for r in (1, 2, 3):
+            want = np.kron(np.eye(r), B)
+            got = _block_diag(B, r)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_factor_shape_validation():

@@ -74,6 +74,22 @@ def test_operator_flat_rows_match_tensordot():
             op.adjoint(v), op.scale * np.tensordot(v, op.matrices, axes=(0, 0)))
 
 
+def test_apply_batch_same_bits_as_tensordot():
+    # mean_hessian applies the operator to the column-major unit basis, a
+    # transposed (not C-contiguous) view; the flat GEMM must give the bits
+    # of the tensordot contraction.
+    for n, p in ((2, 12), (3, 27), (5, 75)):
+        op = make_gaussian_operator(n, n, p, seed=n).with_scale(0.61)
+        basis = np.eye(n * n).reshape(n * n, n, n).transpose(0, 2, 1)
+        assert not basis.flags.c_contiguous
+        stacks = (basis,
+                  np.random.default_rng(p).standard_normal((7, n, n)))
+        for Ms in stacks:
+            want = op.scale * np.tensordot(Ms, op.matrices,
+                                           axes=([1, 2], [1, 2]))
+            assert op.apply_batch(Ms).tobytes() == want.tobytes()
+
+
 def test_operator_rows_follow_noncontiguous_input():
     rng = np.random.default_rng(4)
     mats = rng.standard_normal((6, 3, 4)).transpose(0, 2, 1)
@@ -105,6 +121,13 @@ def test_gaussian_operator_deterministic():
     b = make_gaussian_operator(3, 4, 5, seed=9)
     np.testing.assert_array_equal(a.matrices, b.matrices)
     assert a.scale == 1.0
+
+
+def test_gaussian_operator_refused_before_drawing(refused_before_allocation):
+    # One 4001 x 4001 matrix, or 4000^2 + 1 one-entry matrices: each stack is
+    # over the dense limit and must be refused before it is drawn.
+    refused_before_allocation(make_gaussian_operator, 4001, 4001, 1, 0)
+    refused_before_allocation(make_gaussian_operator, 1, 1, 4000 * 4000 + 1, 0)
 
 
 def test_linear_loss_hand_values():

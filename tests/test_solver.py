@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ripgd import rip, solver
+from ripgd import certify, rip, solver
 from ripgd.factored import g_grad, g_value_and_grad
 from ripgd.losses import (
     LinearOperator,
@@ -363,11 +363,14 @@ def test_gradient_descent_one_loss_evaluation_per_step(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(40, 1), (40, 40), (18, 5), (18, 18),
-                                   (10, 5), (10, 10)])
+                                   (10, 5), (10, 10), (36,), (2, 3, 4)])
 def test_norm_matches_numpy(shape):
-    # Factor and matrix shapes of the fig1a, fig1b (lifted) and fig1c runs.
-    a = np.random.default_rng(shape[0] * 100 + shape[1]).standard_normal(shape)
-    for x in (a, np.asfortranarray(a), a.T, a[::-1, ::2]):
+    # Factor and matrix shapes of the fig1a, fig1b (lifted) and fig1c runs,
+    # and the vectors and stacks the certificates take norms of; the solver
+    # and the certificates share the one definition.
+    assert solver._norm is certify._norm
+    a = np.random.default_rng(shape[0] * 100 + shape[-1]).standard_normal(shape)
+    for x in (a, np.asfortranarray(a), a.T, a[::-1][..., ::2]):
         value = solver._norm(x)
         assert type(value) is float
         assert value == float(np.linalg.norm(x))
