@@ -176,23 +176,6 @@ def _range_parts(X, Z):
     return z_range, Z - z_range
 
 
-def range_split(X, Z):
-    """Split Z against the range of X.
-
-    Returns (y_hat, z_perp, R) where z_perp is the part of Z outside the
-    range of X, R solves proj_X Z = X R, and
-    y_hat = X/2 - X R R^T / 2 - z_perp R^T reproduces the recovery error:
-    X y_hat^T + y_hat X^T - z_perp z_perp^T = X X^T - Z Z^T, with the two
-    summands Frobenius-orthogonal.
-    """
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    z_range, z_perp = _range_parts(X, Z)
-    R = np.linalg.pinv(X) @ z_range
-    y_hat = 0.5 * X - 0.5 * X @ R @ R.T - z_perp @ R.T
-    return y_hat, z_perp, R
-
-
 def normcompare_check(X, Z):
     """Factor distance bound for aligned pairs.
 

@@ -10,7 +10,7 @@ Experiments are described by a small key-value config file::
     m = 8                      # columns (asym-linear only, defaults to n)
     seed = 0                   # master seed; everything else derives from it
     c = 0.5                    # step constant, eta = c / l1 for pgd
-    kappa = auto               # stationarity tolerance, auto-calibrated
+    kappa = auto               # pgd stationarity tolerance, auto-calibrated
     gamma = 0.1                # failure-probability budget
     eps_target = auto          # stop once ||X X^T - M*||_F reaches this
     max_iters = auto           # gradient step budget
@@ -156,8 +156,12 @@ class ExperimentConfig:
             raise ValueError("c must be positive")
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must lie in (0, 1]")
-        if self.kappa is not None and not self.kappa > 0:
-            raise ValueError("kappa must be positive")
+        if self.kappa is not None:
+            if self.solver == "gd":
+                raise ValueError("pgd derives its constants from kappa; "
+                                 "kappa does not apply to gd")
+            if not self.kappa > 0:
+                raise ValueError("kappa must be positive")
         if self.eta is not None:
             if self.solver == "pgd":
                 raise ValueError("pgd derives eta from c; eta applies to gd")
@@ -287,7 +291,7 @@ def _build_asym_linear(config, seeds):
     base_loss = LinearLoss(op, op.apply(m_star))
     phi = 0.5 * (1.0 - est.delta)
     loss = ScaledLoss(LiftedLoss(base_loss, phi), 4.0 / (1.0 + est.delta))
-    delta_lift = 2.0 * est.delta / (1.0 + est.delta)
+    delta_lift = rip.lift_delta(est.delta)
     _, _, m_tilde = balance_and_augment(m_star, config.r)
     x0 = np.random.default_rng(seeds["init"]).standard_normal((loss.n, config.r))
     bound_d = max(float(np.linalg.norm(m_tilde)), float(np.linalg.norm(x0 @ x0.T)))

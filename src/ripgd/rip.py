@@ -4,7 +4,9 @@ The estimator samples random low-rank matrices, measures the energy ratio
 ||op(M)||^2 / ||M||_F^2 and reports the operator scale and isometry constant
 implied by the extreme ratios.  The closed-form functions translate an
 isometry constant and the smallest ground-truth singular value into step
-sizes and radii of guaranteed linear convergence.
+sizes and radii of guaranteed linear convergence.  They are stated for the
+symmetric case; an asymmetric problem goes through its balanced lift, whose
+isometry constant is ``lift_delta(delta)``.
 """
 
 import ctypes
@@ -203,22 +205,23 @@ def _call_on_threads(work, workers):
     return results
 
 
+def lift_delta(delta):
+    """Isometry constant of the balanced lift of an asymmetric operator.
+
+    A rank-2r isometry constant delta of the asymmetric operator becomes
+    2 delta / (1 + delta) on the lifted symmetric problem, whose sigma_r and
+    D are twice the asymmetric ones.  The asymmetric radii and step bound
+    are the symmetric formulas at (lift_delta(delta), 2 sigma_r, 2 D).
+    """
+    _check_delta(delta)
+    return 2.0 * delta / (1.0 + delta)
+
+
 def pl_radius_sym(delta, sigma_r):
     """Factor-space radius of the gradient dominance region, symmetric case."""
     _check_delta(delta)
     _check_sigma(sigma_r)
     return np.sqrt(2.0 * (SQRT2 - 1.0)) * np.sqrt(1.0 - delta ** 2) * np.sqrt(sigma_r)
-
-
-def pl_radius_asym(delta, sigma_r):
-    """Factor-space gradient dominance radius for lifted asymmetric problems."""
-    _check_delta(delta)
-    _check_sigma(sigma_r)
-    return (
-        2.0 * np.sqrt(SQRT2 - 1.0)
-        * np.sqrt(1.0 + 2.0 * delta - 3.0 * delta ** 2) / (1.0 + delta)
-        * np.sqrt(sigma_r)
-    )
 
 
 def local_region_sym(delta, sigma_r):
@@ -228,13 +231,6 @@ def local_region_sym(delta, sigma_r):
     return 2.0 * (SQRT2 - 1.0) * (1.0 - delta) * sigma_r
 
 
-def local_region_asym(delta, sigma_r):
-    """Matrix-space linear-rate radius for the lifted asymmetric problem."""
-    _check_delta(delta)
-    _check_sigma(sigma_r)
-    return 4.0 * (SQRT2 - 1.0) * (1.0 - delta) / (1.0 + delta) * sigma_r
-
-
 def max_step_sym(rho1, r, delta, dist0, bound_d):
     """Largest admissible step size for the symmetric local guarantee."""
     _check_delta(delta)
@@ -242,15 +238,6 @@ def max_step_sym(rho1, r, delta, dist0, bound_d):
         raise ValueError("invalid step-size inputs")
     ratio = np.sqrt((1.0 + delta) / (1.0 - delta))
     return 1.0 / (12.0 * rho1 * np.sqrt(r) * (ratio * dist0 + bound_d))
-
-
-def max_step_asym(rho1, r, delta, dist0, bound_d):
-    """Largest admissible step size for the lifted asymmetric guarantee."""
-    _check_delta(delta)
-    if rho1 <= 0 or r < 1 or dist0 < 0 or bound_d <= 0:
-        raise ValueError("invalid step-size inputs")
-    ratio = np.sqrt((1.0 + 3.0 * delta) / (1.0 - delta))
-    return 1.0 / (12.0 * rho1 * np.sqrt(r) * (ratio * dist0 + 2.0 * bound_d))
 
 
 def prior_radii(delta, sigma_r, sigma_1):

@@ -24,7 +24,7 @@ from scipy.stats import linregress
 from ripgd import rip
 from ripgd.losses import LinearLoss, make_gaussian_operator, make_onebit_loss
 from ripgd.factored import balance_and_augment
-from ripgd.rip import pl_radius_sym, pl_radius_asym, local_region_sym
+from ripgd.rip import lift_delta, pl_radius_sym, local_region_sym
 from ripgd.solver import level_set_violation
 from ripgd.certify import run_certificate_suites
 from ripgd.cli import load_config, main, run_experiment
@@ -261,7 +261,9 @@ def test_criterion_6_property_suites(fig1a):
 def test_criterion_7_formula_table():
     checks = {
         "pl_radius_sym": abs(pl_radius_sym(0.0, 1.0) - 0.9102) <= 1e-4,
-        "pl_radius_asym": abs(pl_radius_asym(0.0, 1.0) - 1.2872) <= 1e-4,
+        # The asymmetric radius: the symmetric one at the lifted constants.
+        "pl_radius_asym": abs(pl_radius_sym(lift_delta(0.0), 2.0) - 1.2872)
+        <= 1e-4,
         "local_region_sym": abs(local_region_sym(0.0, 1.0) - 0.8284) <= 1e-4,
     }
     _finish(7, checks)

@@ -18,8 +18,8 @@ from ripgd.certify import (
     x_operator,
     mean_hessian,
     verify_gradhessian,
+    _range_parts,
     align,
-    range_split,
     normcompare_check,
     pl_dual_bound,
     saddle_eta0,
@@ -245,36 +245,31 @@ def test_align():
     assert np.linalg.eigvalsh(0.5 * (G + G.T))[0] >= -1e-10
 
 
-def test_range_split_identities():
+def test_range_parts_projection():
+    # The projection that saddle_eta0 uses: Z splits into a part inside the
+    # range of X and a part orthogonal to it.
     rng = np.random.default_rng(13)
     for _ in range(10):
         n = int(rng.integers(2, 7))
         r = int(rng.integers(1, n))
         X = rng.standard_normal((n, r))
         Z = align(X, rng.standard_normal((n, r)))
-        y_hat, z_perp, R = range_split(X, Z)
-        lin = X @ y_hat.T + y_hat @ X.T
-        pzz = z_perp @ z_perp.T
-        err = X @ X.T - Z @ Z.T
-        scale = max(1.0, np.linalg.norm(err))
-        assert np.linalg.norm(lin - pzz - err) <= 1e-10 * scale
+        z_range, z_perp = _range_parts(X, Z)
+        scale = max(1.0, np.linalg.norm(X @ X.T - Z @ Z.T))
+        # z_perp is computed as Z - z_range, so the sum is Z up to rounding.
+        assert np.linalg.norm(z_range + z_perp - Z) <= 1e-12 * scale
         assert np.linalg.norm(X.T @ z_perp) <= 1e-10 * scale
-        assert abs(np.sum(lin * pzz)) <= 1e-10 * scale ** 2
-        assert np.allclose(X @ R, Z - z_perp, atol=1e-10)
-
-
-def test_range_split_accepts_array_likes():
-    # Nested lists are converted, and an X with no columns has an empty
-    # range: all of Z is z_perp and R has no rows.
-    X = [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]
-    Z = [[0.5, 1.0], [1.0, 0.0], [0.0, 1.0]]
-    got = range_split(X, Z)
-    want = range_split(np.array(X), np.array(Z))
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
-    y_hat, z_perp, R = range_split(np.zeros((3, 0)), np.ones((3, 2)))
-    assert y_hat.shape == (3, 0) and R.shape == (0, 2)
-    assert z_perp.tobytes() == np.ones((3, 2)).tobytes()
+    # A column scaled to 1e-13 of the other lies below the relative 1e-10
+    # cut: its direction is dropped from the range, so the part of Z along
+    # it lands in z_perp.
+    X = np.array([[1.0, 0.0], [0.0, 1e-13], [0.0, 0.0]])
+    Z = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    z_range, z_perp = _range_parts(X, Z)
+    assert np.allclose(z_range + z_perp, Z, rtol=0.0, atol=1e-15)
+    assert np.allclose(z_range, [[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]],
+                       atol=1e-15)
+    assert np.allclose(z_perp, [[0.0, 0.0], [3.0, 4.0], [5.0, 6.0]],
+                       atol=1e-15)
 
 
 def test_normcompare():

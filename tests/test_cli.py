@@ -371,6 +371,20 @@ def test_main_reports_bad_input_as_usage_error(tmp_path, capsys):
         "got onebit\n")
 
 
+def test_main_run_refuses_kappa_on_gd(tmp_path, capsys):
+    # gd never reads kappa, which would still change the config hash.
+    cfg_path = tmp_path / "onebit.conf"
+    cfg_path.write_text("kind = onebit\nn = 10\nr = 5\nkappa = 3\n")
+    assert usage_error(capsys, ["run", str(cfg_path)]) == (
+        "ripgd run: error: pgd derives its constants from kappa; kappa does "
+        "not apply to gd\n")
+    with pytest.raises(ValueError, match="kappa does not apply to gd"):
+        config_from_mapping({"kind": "sym-linear", "n": "8", "r": "1",
+                             "p": "40", "solver": "gd", "kappa": "3"})
+    cfg_path.write_text("kind = onebit\nn = 10\nr = 5\nkappa = auto\n")
+    assert load_config(cfg_path).kappa is None
+
+
 def test_main_run_refuses_oversized_operator(tmp_path, capsys):
     # 4001 * 4001 one-entry sensing matrices pass the dense limit.
     cfg_path = tmp_path / "big.conf"

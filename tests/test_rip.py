@@ -12,12 +12,10 @@ from ripgd.losses import LinearOperator, make_gaussian_operator
 from ripgd.rip import (
     RipEstimate,
     estimate_rip,
+    lift_delta,
     pl_radius_sym,
-    pl_radius_asym,
     local_region_sym,
-    local_region_asym,
     max_step_sym,
-    max_step_asym,
     prior_radii,
 )
 
@@ -27,43 +25,52 @@ def identity_operator(n):
 
 
 def test_formula_table():
-    # Hand-evaluated radius formulas at reference points.
+    # Hand-evaluated radius formulas at reference points; the asymmetric
+    # ones are the symmetric formulas at the lifted constants.
     assert pl_radius_sym(0.0, 1.0) == pytest.approx(0.9101797211244548, abs=1e-12)
-    assert pl_radius_asym(0.0, 1.0) == pytest.approx(1.2871885058111654, abs=1e-12)
+    assert pl_radius_sym(lift_delta(0.0), 2.0) == pytest.approx(
+        1.2871885058111654, abs=1e-12)
     assert local_region_sym(0.0, 1.0) == pytest.approx(0.8284271247461903, abs=1e-12)
     assert pl_radius_sym(0.5, 4.0) == pytest.approx(1.5764775210064272, abs=1e-12)
-    assert pl_radius_asym(1.0 / 3.0, 1.0) == pytest.approx(1.1147379454918027,
-                                                           abs=1e-12)
-    assert local_region_asym(1.0 / 3.0, 1.0) == pytest.approx(0.8284271247461903,
-                                                              abs=1e-12)
+    assert pl_radius_sym(lift_delta(1.0 / 3.0), 2.0) == pytest.approx(
+        1.1147379454918027, abs=1e-12)
+    assert local_region_sym(lift_delta(1.0 / 3.0), 2.0) == pytest.approx(
+        0.8284271247461903, abs=1e-12)
 
 
 def test_step_formulas():
     assert max_step_sym(1.6, 1, 1.0 / 3.0, 1.0, 1.0) == pytest.approx(
         0.021573623040265364, abs=1e-15)
-    assert max_step_asym(1.6, 1, 1.0 / 3.0, 1.0, 1.0) == pytest.approx(
+    assert max_step_sym(1.6, 1, lift_delta(1.0 / 3.0), 1.0, 2.0) == pytest.approx(
         0.013955687105787639, abs=1e-15)
 
 
 def test_substitution_identities():
-    # The asymmetric formulas are the symmetric ones after the lift's
-    # substitution delta -> 2 delta/(1+delta), sigma_r -> 2 sigma_r,
-    # D -> 2 D.
+    # The symmetric formulas at the lift's constants delta -> 2 delta/(1+delta),
+    # sigma_r -> 2 sigma_r, D -> 2 D equal the asymmetric closed forms,
+    # written out here so that the oracle does not depend on ripgd.rip.
+    sqrt2 = math.sqrt(2.0)
     rng = np.random.default_rng(0)
     for _ in range(20):
         delta = rng.uniform(0.0, 0.95)
         sigma = rng.uniform(0.1, 10.0)
-        dlift = 2.0 * delta / (1.0 + delta)
-        assert pl_radius_asym(delta, sigma) == pytest.approx(
-            pl_radius_sym(dlift, 2.0 * sigma), rel=1e-12)
-        assert local_region_asym(delta, sigma) == pytest.approx(
-            local_region_sym(dlift, 2.0 * sigma), rel=1e-12)
+        dlift = lift_delta(delta)
+        assert dlift == pytest.approx(2.0 * delta / (1.0 + delta), rel=1e-15)
+        assert pl_radius_sym(dlift, 2.0 * sigma) == pytest.approx(
+            2.0 * math.sqrt(sqrt2 - 1.0)
+            * math.sqrt(1.0 + 2.0 * delta - 3.0 * delta ** 2) / (1.0 + delta)
+            * math.sqrt(sigma), rel=1e-12)
+        assert local_region_sym(dlift, 2.0 * sigma) == pytest.approx(
+            4.0 * (sqrt2 - 1.0) * (1.0 - delta) / (1.0 + delta) * sigma,
+            rel=1e-12)
         rho1 = rng.uniform(1.0 + 2.0 * delta, 5.0)
         dist0 = rng.uniform(0.1, 5.0)
         D = rng.uniform(0.5, 5.0)
         r = int(rng.integers(1, 6))
-        assert max_step_asym(rho1, r, delta, dist0, D) == pytest.approx(
-            max_step_sym(rho1, r, dlift, dist0, 2.0 * D), rel=1e-12)
+        ratio = math.sqrt((1.0 + 3.0 * delta) / (1.0 - delta))
+        assert max_step_sym(rho1, r, dlift, dist0, 2.0 * D) == pytest.approx(
+            1.0 / (12.0 * rho1 * math.sqrt(r) * (ratio * dist0 + 2.0 * D)),
+            rel=1e-12)
 
 
 def test_formula_monotonicity():
@@ -80,8 +87,14 @@ def test_formula_validation():
             pl_radius_sym(bad, 1.0)
     with pytest.raises(ValueError):
         local_region_sym(0.2, 0.0)
-    with pytest.raises(ValueError):
-        max_step_sym(0.0, 1, 0.2, 1.0, 1.0)
+    for bad in (-0.1, 1.0):
+        with pytest.raises(ValueError):
+            lift_delta(bad)
+    for args in ((0.0, 1, 0.2, 1.0, 1.0), (1.5, 0, 0.2, 1.0, 1.0),
+                 (1.5, 1, 0.2, -1.0, 1.0), (1.5, 1, 0.2, 1.0, 0.0),
+                 (1.5, 1, 0.2, 1.0, -1.0)):
+        with pytest.raises(ValueError):
+            max_step_sym(*args)
 
 
 def test_prior_radii_table():
