@@ -16,11 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .losses import LinearLoss, _check_dense, _norm, make_gaussian_operator
+from .losses import (LinearLoss, _check_dense, _norm, _significant,
+                     make_gaussian_operator)
 from .factored import _basis_images, _block_diag, g_grad, g_hess_min_eig
 from .rip import pl_radius_sym
-
-_RANGE_TOL = 1e-10
 
 
 def vec(A):
@@ -170,8 +169,7 @@ def _require_aligned(X, Z):
 def _range_parts(X, Z):
     """The parts of Z inside and outside the range of X (float arrays)."""
     U, sv, _ = np.linalg.svd(X, full_matrices=False)
-    keep = sv > _RANGE_TOL * max(1.0, sv[0] if len(sv) else 1.0)
-    basis = U[:, keep]
+    basis = U[:, _significant(sv)]
     z_range = basis @ (basis.T @ Z)
     return z_range, Z - z_range
 

@@ -45,7 +45,6 @@ from .factored import LiftedLoss, balance_and_augment
 from .losses import (
     LinearLoss,
     RecoveryProblem,
-    ScaledLoss,
     _check_dense,
     estimate_rho1,
     make_gaussian_operator,
@@ -289,16 +288,14 @@ def _build_asym_linear(config, seeds):
     v = rng.standard_normal((config.m, config.r))
     m_star = u @ v.T
     base_loss = LinearLoss(op, op.apply(m_star))
-    phi = 0.5 * (1.0 - est.delta)
-    loss = ScaledLoss(LiftedLoss(base_loss, phi), 4.0 / (1.0 + est.delta))
-    delta_lift = rip.lift_delta(est.delta)
+    loss = LiftedLoss(base_loss, est.delta)
     _, _, m_tilde = balance_and_augment(m_star, config.r)
     x0 = np.random.default_rng(seeds["init"]).standard_normal((loss.n, config.r))
     bound_d = max(float(np.linalg.norm(m_tilde)), float(np.linalg.norm(x0 @ x0.T)))
-    rho1 = estimate_rho1(loss, config.r, delta_lift, seed=seeds["rho1"])
-    problem = RecoveryProblem(loss, m_tilde, config.r, delta_lift, rho1, 0.0,
+    rho1 = estimate_rho1(loss, config.r, loss.delta, seed=seeds["rho1"])
+    problem = RecoveryProblem(loss, m_tilde, config.r, loss.delta, rho1, 0.0,
                               bound_d)
-    info = {"rip": est.to_dict(), "base_delta": est.delta, "phi": phi}
+    info = {"rip": est.to_dict(), "base_delta": est.delta, "phi": loss.phi}
     return problem, x0, info
 
 

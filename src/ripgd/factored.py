@@ -9,6 +9,7 @@ penalty, after which the symmetric machinery applies unchanged.
 import numpy as np
 
 from .losses import MatrixLoss, _check_dense, check_rank
+from .rip import lift_delta
 
 
 def _check_factor(loss, X):
@@ -85,7 +86,10 @@ def g_hess_min_eig(loss, X):
 class LiftedLoss(MatrixLoss):
     """Square loss on (n+m)-blocks that embeds an asymmetric loss.
 
-    For N = [[N11, N12], [N21, N22]] the value is
+    The inner loss f has isometry constant ``delta``, which fixes the
+    balancing weight phi = (1 - delta)/2, the scale 4/(1 + delta) and the
+    lift's own constant ``self.delta = rip.lift_delta(delta)``.  For
+    N = [[N11, N12], [N21, N22]] the value is scale times
     (f(N12) + f(N21^T)) / 2 + phi/4 * (||N11||^2 + ||N22||^2
     - ||N12||^2 - ||N21||^2), so minimizing over N = X X^T with
     X = [U; V] recovers the asymmetric problem with balanced factors.
@@ -101,14 +105,15 @@ class LiftedLoss(MatrixLoss):
     When N12 and N21^T hold the same bits, as they do for every N = X X^T,
     the inner loss is evaluated once, on N12, and that result stands in for
     N21^T.  Identical inputs give identical outputs, so the value and
-    gradient are the same bits as with two evaluations.
+    gradient are the same bits as with two evaluations.  The scale
+    multiplies each result last.
     """
 
-    def __init__(self, inner, phi):
-        if not phi > 0:
-            raise ValueError("balancing weight phi must be positive")
+    def __init__(self, inner, delta):
+        self.delta = lift_delta(delta)
+        self.phi = 0.5 * (1.0 - delta)
+        self.scale = 4.0 / (1.0 + delta)
         self.inner = inner
-        self.phi = float(phi)
         self.split = k = inner.n
         self.n = inner.n + inner.m
         self.m = self.n
@@ -137,7 +142,7 @@ class LiftedLoss(MatrixLoss):
         g12 = self.inner.grad(b12)
         same = b12.tobytes() == b21.T.tobytes()
         g21 = g12 if same else self.inner.grad(b21.T)
-        return self._add_inner(self._half_phi_sign * M, g12, g21)
+        return self.scale * self._add_inner(self._half_phi_sign * M, g12, g21)
 
     def value_and_grad(self, M):
         M = self._check(M)
@@ -150,7 +155,8 @@ class LiftedLoss(MatrixLoss):
             v21, g21 = self.inner.value_and_grad(b21.T)
         B = self._half_phi_sign * M
         val = 0.5 * (v12 + v21) + 0.5 * np.vdot(M, B)
-        return float(val), self._add_inner(B, g12, g21)
+        return (self.scale * float(val),
+                self.scale * self._add_inner(B, g12, g21))
 
     def hess_gram(self, M, dirs):
         M = self._check(M)
@@ -161,8 +167,9 @@ class LiftedLoss(MatrixLoss):
                                        dirs[:, k:, :k].transpose(0, 2, 1)))
         # The balancing term is +phi/2 on the diagonal blocks, -phi/2 off them.
         flat = dirs.reshape(len(dirs), -1)
-        return (0.5 * quad
-                + 0.5 * self.phi * ((flat * self._sign.reshape(-1)) @ flat.T))
+        return self.scale * (
+            0.5 * quad
+            + 0.5 * self.phi * ((flat * self._sign.reshape(-1)) @ flat.T))
 
 
 def balance_and_augment(m_star, r):

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-# Absolute tolerance used for numerical rank decisions throughout.
+# Relative rank cut: a singular value counts when it exceeds
+# RANK_TOL * max(1, sigma_1), so exact low rank survives any scale.
 RANK_TOL = 1e-10
 
 # Most entries of one dense array built over the factor or matrix space,
@@ -220,32 +221,6 @@ class OneBitLoss(MatrixLoss):
         return (flat * w.reshape(-1)) @ flat.T
 
 
-class ScaledLoss(MatrixLoss):
-    """A loss multiplied by a positive constant."""
-
-    def __init__(self, inner, factor):
-        if not factor > 0:
-            raise ValueError("factor must be positive")
-        self.inner = inner
-        self.factor = float(factor)
-        self.constant_hessian = inner.constant_hessian
-        self.n = inner.n
-        self.m = inner.m
-
-    def value(self, M):
-        return self.factor * self.inner.value(M)
-
-    def grad(self, M):
-        return self.factor * self.inner.grad(M)
-
-    def value_and_grad(self, M):
-        v, g = self.inner.value_and_grad(M)
-        return self.factor * v, self.factor * g
-
-    def hess_gram(self, M, dirs):
-        return self.factor * self.inner.hess_gram(M, dirs)
-
-
 def make_onebit_loss(m_hat, scale=6.0):
     """1-bit loss whose observation rates come from a planted matrix.
 
@@ -266,13 +241,19 @@ def onebit_rho2(scale):
     return scale / (6.0 * np.sqrt(3.0))
 
 
+def _significant(sv):
+    """Mask of the descending singular values sv that count toward the rank."""
+    return sv > RANK_TOL * max(1.0, sv[0] if len(sv) else 1.0)
+
+
 def check_rank(sv, r):
     """Raise unless the descending singular values sv have numerical rank r."""
     if r < 1 or r > len(sv):
         raise ValueError("rank out of range")
-    if sv[r - 1] <= RANK_TOL:
+    kept = _significant(sv)
+    if not kept[r - 1]:
         raise ValueError("m_star is numerically rank deficient for rank %d" % r)
-    if r < len(sv) and sv[r] >= RANK_TOL:
+    if r < len(sv) and kept[r]:
         raise ValueError("m_star has numerical rank above %d" % r)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict, field, fields
 import numpy as np
 
 from . import rip
-from .factored import g_value_and_grad, g_grad
+from .factored import g_value_and_grad
 from .losses import _norm
 
 
@@ -190,32 +190,28 @@ def _descend(problem, X, eta, max_iters, eps_target, tol=None, params=None,
         rng = np.random.default_rng(seed)
         t_window = max(1, math.ceil(params.t_thres))
         t_noise = -t_window - 1
-        saved_x = saved_n = None
-        saved_f = np.inf
     rows = []
     stop = "max_iters"
     t = 0
     while True:
         # N = X X^T, formed once per step and reused for the distance.
         val, grad, N = g_value_and_grad(loss, X)
+        gn = _norm(grad)
         perturbed = False
         if phase == 1:
-            gn = _norm(grad)
             if gn <= params.g_thres and t - t_noise > t_window:
-                saved_x, saved_n = X.copy(), N
-                saved_f = val
+                # No step writes into X, so the state is kept uncopied.
+                saved = X, val, grad, gn, N
                 t_noise = t
                 X = X + _ball_noise(rng, X.shape, params.w)
                 perturbed = True
                 val, grad, N = g_value_and_grad(loss, X)
-            elif t - t_noise == t_window and val - saved_f > -params.f_thres:
+                gn = _norm(grad)
+            elif t - t_noise == t_window and val - saved[1] > -params.f_thres:
                 # The perturbation bought no decrease: restore and switch
                 # to the plain descent phase.
-                X, N = saved_x, saved_n
+                X, val, grad, gn, N = saved
                 phase = 2
-                val = saved_f
-                grad = g_grad(loss, X)
-        gn = _norm(grad)
         dist = _norm(N - m_star)
         if not (math.isfinite(val) and math.isfinite(gn)):
             raise ValueError("non-finite objective or gradient at iteration %d" % t)

@@ -22,7 +22,6 @@ from ripgd.losses import (
     LinearLoss,
     LinearOperator,
     RecoveryProblem,
-    ScaledLoss,
     estimate_rho1,
     make_onebit_loss,
     onebit_rho2,
@@ -190,14 +189,14 @@ def test_benchmark_tracer_sees_every_loss_evaluation():
     scalar = RecoveryProblem(LinearLoss(op, np.ones(1)), np.ones((1, 1)), 1,
                              0.0, 1.0, 0.0, 1.0)
     params = pgd_params(scalar, c=0.5, kappa=1.0, gamma=0.1)
-    # A 2x1 truth through the scaled balanced lift, from the saddle X = 0:
-    # one perturbation, then plain steps.
+    # A 2x1 truth through the balanced lift, from the saddle X = 0: one
+    # perturbation, then plain steps.
     m_star = np.array([[1.0], [0.5]])
     lin = LinearOperator(np.eye(2).reshape(2, 2, 1))
     _, _, m_tilde = balance_and_augment(m_star, 1)
-    lifted = RecoveryProblem(
-        ScaledLoss(LiftedLoss(LinearLoss(lin, lin.apply(m_star)), 0.5), 2.0),
-        m_tilde, 1, 0.0, 3.0, 0.0, np.linalg.norm(m_tilde))
+    lift = LiftedLoss(LinearLoss(lin, lin.apply(m_star)), 0.0)
+    lifted = RecoveryProblem(lift, m_tilde, 1, lift.delta, 3.0, 0.0,
+                             np.linalg.norm(m_tilde))
     lifted_params = pgd_params(lifted, c=0.5, kappa=1.0, gamma=0.1)
     runs = [
         (lambda: gradient_descent(onebit, x0, eta=0.05, max_iters=40,
@@ -219,6 +218,8 @@ def test_benchmark_tracer_sees_every_loss_evaluation():
         expected = len(trace) + int(trace.perturbed.sum())
         assert names.count("factored.value_and_grad") == expected
         assert names.count("losses.value_and_grad") == expected
+        # A revert restores the saved gradient instead of recomputing it.
+        assert names.count("factored.grad") == 0
         lifted_spans = names.count("factored.lifted_value_and_grad")
         assert lifted_spans == (expected if is_lifted else 0)
         if is_lifted:

@@ -7,7 +7,6 @@ from scipy.special import expit
 from ripgd.losses import (
     LinearLoss,
     LinearOperator,
-    ScaledLoss,
     make_gaussian_operator,
     make_onebit_loss,
 )
@@ -157,10 +156,9 @@ def test_mean_hessian_builds_a_constant_hessian_once():
     m_star = z @ z.T
     lin = LinearLoss(op, op.apply(m_star))
     lifted = LiftedLoss(LinearLoss(make_gaussian_operator(2, 1, 6, seed=1),
-                                   rng.standard_normal(6)), 0.4)
+                                   rng.standard_normal(6)), 0.2)
     ob = make_onebit_loss(0.5 * m_star / np.abs(m_star).max())
-    cases = ((lin, 1), (ScaledLoss(lin, 1.9), 1), (lifted, 1),
-             (ScaledLoss(lifted, 0.8), 1), (ob, 16), (ScaledLoss(ob, 2.0), 16))
+    cases = ((lin, 1), (lifted, 1), (ob, 16))
     for loss, want in cases:
         assert loss.constant_hessian == (want == 1)
         X = rng.standard_normal((3, 2))

@@ -101,6 +101,17 @@ def test_config_validation():
         ExperimentConfig(**{**good, "solver": "adam"})
     with pytest.raises(ValueError, match="eps_target"):
         ExperimentConfig(**{**good, "eps_target": 0.0})
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        ExperimentConfig(**{**good, "kappa": 0.0})
+    with pytest.raises(ValueError, match="eta must be positive"):
+        ExperimentConfig(kind="onebit", n=6, r=2, eta=-0.1)
+    for key, bad in (("max_iters", 0), ("c", 0.0), ("grad_tol", -1e-3),
+                     ("rip_samples", 0)):
+        with pytest.raises(ValueError, match="^%s must be" % key):
+            ExperimentConfig(**{**good, key: bad})
+    for bad in (dict(good, n=0), dict(kind="asym-linear", n=4, m=0, r=1, p=9)):
+        with pytest.raises(ValueError, match="n and m must be positive"):
+            ExperimentConfig(**bad)
     # Direct construction skips the config-file parser; non-finite floats
     # are still refused, naming the key.
     for key in ("c", "kappa", "gamma", "eps_target", "grad_tol"):

@@ -11,7 +11,6 @@ from ripgd.losses import (
     LinearLoss,
     MatrixLoss,
     OneBitLoss,
-    ScaledLoss,
     make_gaussian_operator,
 )
 from ripgd.factored import (
@@ -90,9 +89,9 @@ def test_scalar_quartic_values():
 def test_factor_gradient_fd():
     rng = np.random.default_rng(10)
     lin, onebit = random_losses(rng, 4)
-    lifted = ScaledLoss(LiftedLoss(LinearLoss(
+    lifted = LiftedLoss(LinearLoss(
         make_gaussian_operator(3, 2, 12, seed=3), rng.standard_normal(12)),
-        phi=0.35), 1.6)
+        0.3)
     for loss, rows in ((lin, 4), (onebit, 4), (lifted, 5)):
         X = rng.standard_normal((rows, 2))
         g = g_grad(loss, X)
@@ -109,7 +108,7 @@ def test_factor_hessian_fd():
     # The dense factored Hessian against second differences of the value.
     rng = np.random.default_rng(11)
     lin, onebit = random_losses(rng, 3)
-    for loss in (lin, onebit, ScaledLoss(onebit, 2.5), lifted_loss(rng)):
+    for loss in (lin, onebit, lifted_loss(rng)):
         X = rng.standard_normal((3, 2))
         U = rng.standard_normal((3, 2))
         u = U.reshape(-1, order="F")
@@ -118,10 +117,10 @@ def test_factor_hessian_fd():
 
 
 def lifted_loss(rng):
-    """Scaled lift of a 2-by-1 linear loss: a square loss on 3 rows."""
+    """Lift of a 2-by-1 linear loss: a square loss on 3 rows."""
     inner = LinearLoss(make_gaussian_operator(2, 1, 6, seed=5),
                        rng.standard_normal(6))
-    return ScaledLoss(LiftedLoss(inner, phi=0.4), 1.7)
+    return LiftedLoss(inner, 0.2)
 
 
 def test_hess_matrix_matches_form():
@@ -129,8 +128,7 @@ def test_hess_matrix_matches_form():
     # column-major vec convention, for every loss.
     rng = np.random.default_rng(13)
     lin, onebit = random_losses(rng, 3)
-    scaled = ScaledLoss(onebit, 2.5)
-    for loss in (lin, onebit, scaled, lifted_loss(rng)):
+    for loss in (lin, onebit, lifted_loss(rng)):
         X = rng.standard_normal((3, 2))
         H = hess_matrix(loss, X)
         np.testing.assert_allclose(H, H.T, atol=1e-12)
@@ -147,7 +145,7 @@ def test_hess_gram_matches_grad_differences():
     rng = np.random.default_rng(14)
     lin, onebit = random_losses(rng, 3)
     h = 1e-5
-    for loss in (lin, onebit, ScaledLoss(lin, 0.7), lifted_loss(rng)):
+    for loss in (lin, onebit, lifted_loss(rng)):
         M = rng.standard_normal((3, 3))
         dirs = rng.standard_normal((5, 3, 3))
         diffs = [(loss.grad(M + h * L) - loss.grad(M - h * L)) / (2 * h)
@@ -206,8 +204,7 @@ def test_lifted_loss_blocks():
     op = make_gaussian_operator(3, 2, 10, seed=8)
     d = rng.standard_normal(10)
     inner = LinearLoss(op, d)
-    phi = 0.45
-    lifted = LiftedLoss(inner, phi)
+    lifted = LiftedLoss(inner, 0.1)
     assert lifted.n == lifted.m == 5
     U = rng.standard_normal((3, 2))
     V = rng.standard_normal((2, 2))
@@ -215,7 +212,7 @@ def test_lifted_loss_blocks():
     N = X @ X.T
     uu, vv, uv = U @ U.T, V @ V.T, U @ V.T
     bal = (np.sum(uu * uu) + np.sum(vv * vv) - 2.0 * np.sum(uv * uv))
-    want = inner.value(uv) + 0.25 * phi * bal
+    want = lifted.scale * (inner.value(uv) + 0.25 * lifted.phi * bal)
     assert g_value(lifted, X) == pytest.approx(want, rel=1e-12)
     v, g = lifted.value_and_grad(N)
     assert v == pytest.approx(lifted.value(N), rel=1e-12)
@@ -226,7 +223,7 @@ def test_lifted_loss_fd():
     rng = np.random.default_rng(17)
     op = make_gaussian_operator(3, 2, 10, seed=8)
     inner = LinearLoss(op, rng.standard_normal(10))
-    lifted = LiftedLoss(inner, 0.3)
+    lifted = LiftedLoss(inner, 0.4)
     N = rng.standard_normal((5, 5))
     g = lifted.grad(N)
     eps = 1e-6
@@ -267,7 +264,7 @@ class CountingLoss(MatrixLoss):
         return self.inner.grad(M)
 
 
-def two_evaluation_lift(inner, phi, M):
+def two_evaluation_lift(inner, phi, scale, M):
     """Lifted value and gradient with the inner loss run on both blocks."""
     k = inner.n
     b11, b12, b21, b22 = M[:k, :k], M[:k, k:], M[k:, :k], M[k:, k:]
@@ -280,17 +277,17 @@ def two_evaluation_lift(inner, phi, M):
     G[k:, k:] = 0.5 * phi * b22
     G[:k, k:] = 0.5 * g12 - 0.5 * phi * b12
     G[k:, :k] = 0.5 * g21.T - 0.5 * phi * b21
-    return float(0.5 * (v12 + v21) + 0.25 * phi * bal), G
+    return scale * float(0.5 * (v12 + v21) + 0.25 * phi * bal), scale * G
 
 
-def lift_rounding(want_v, phi, M):
+def lift_rounding(want_v, phi, scale, M):
     """Bound on the rounding between the lift's value and the block sums.
 
     LiftedLoss takes the balancing value as one signed sum over M, the
     reference as four block sums, so the two may differ in the last bits of
-    the balancing term, whose terms are at most phi/4 * ||M||^2.
+    the balancing term, whose terms are at most scale * phi/4 * ||M||^2.
     """
-    return 1e-14 * (abs(want_v) + 0.25 * phi * (M * M).sum())
+    return 1e-14 * (abs(want_v) + scale * 0.25 * phi * (M * M).sum())
 
 
 def test_lifted_loss_single_inner_evaluation():
@@ -300,13 +297,14 @@ def test_lifted_loss_single_inner_evaluation():
     base = LinearLoss(make_gaussian_operator(10, 8, 220, seed=9),
                       rng.standard_normal(220))
     counted = CountingLoss(base)
-    lifted = LiftedLoss(counted, 0.4)
+    lifted = LiftedLoss(counted, 0.2)
     X = rng.standard_normal((18, 5))
     N = X @ X.T
-    want_v, want_g = two_evaluation_lift(base, 0.4, N)
+    lift = lifted.phi, lifted.scale
+    want_v, want_g = two_evaluation_lift(base, *lift, N)
     v, g = lifted.value_and_grad(N)
     assert counted.calls == 1
-    assert abs(v - want_v) <= lift_rounding(want_v, 0.4, N)
+    assert abs(v - want_v) <= lift_rounding(want_v, *lift, N)
     np.testing.assert_array_equal(g, want_g)
     counted.calls = 0
     np.testing.assert_array_equal(lifted.grad(N), want_g)
@@ -318,20 +316,21 @@ def test_lifted_loss_asymmetric_input_evaluates_both_blocks():
     base = LinearLoss(make_gaussian_operator(3, 2, 10, seed=8),
                       rng.standard_normal(10))
     counted = CountingLoss(base)
-    phi = 0.3
-    lifted = LiftedLoss(counted, phi)
+    lifted = LiftedLoss(counted, 0.4)
     N = rng.standard_normal((5, 5))
-    want_v, want_g = two_evaluation_lift(base, phi, N)
+    lift = lifted.phi, lifted.scale
+    want_v, want_g = two_evaluation_lift(base, *lift, N)
     v, g = lifted.value_and_grad(N)
     assert counted.calls == 2
-    assert abs(v - want_v) <= lift_rounding(want_v, phi, N)
+    assert abs(v - want_v) <= lift_rounding(want_v, *lift, N)
     np.testing.assert_array_equal(g, want_g)
     counted.calls = 0
     np.testing.assert_array_equal(lifted.grad(N), want_g)
     assert counted.calls == 2
     bal = (np.sum(N[:3, :3] ** 2) + np.sum(N[3:, 3:] ** 2)
            - np.sum(N[:3, 3:] ** 2) - np.sum(N[3:, :3] ** 2))
-    want = 0.5 * (base.value(N[:3, 3:]) + base.value(N[3:, :3].T)) + 0.25 * phi * bal
+    inner_v = 0.5 * (base.value(N[:3, 3:]) + base.value(N[3:, :3].T))
+    want = lifted.scale * (inner_v + 0.25 * lifted.phi * bal)
     assert v == pytest.approx(want, rel=1e-12)
 
 
@@ -345,7 +344,7 @@ from ripgd.factored import LiftedLoss
 from ripgd.losses import LinearLoss, make_gaussian_operator
 rng = np.random.default_rng(18)
 lifted = LiftedLoss(LinearLoss(make_gaussian_operator(10, 8, 220, seed=9),
-                               rng.standard_normal(220)), 0.4)
+                               rng.standard_normal(220)), 0.2)
 X = rng.standard_normal((18, 5))
 for N in (X @ X.T, rng.standard_normal((18, 18))):
     v, g = lifted.value_and_grad(N)
@@ -374,8 +373,9 @@ def test_lifted_loss_same_bits_across_blas_threads():
 def test_lifted_validation():
     op = make_gaussian_operator(3, 2, 4, seed=0)
     inner = LinearLoss(op, np.zeros(4))
-    with pytest.raises(ValueError):
-        LiftedLoss(inner, 0.0)
+    for bad in (1.0, -0.1):
+        with pytest.raises(ValueError, match="delta must lie"):
+            LiftedLoss(inner, bad)
 
 
 def test_balance_and_augment():
@@ -395,10 +395,19 @@ def test_balance_and_augment():
     # Lifted objective vanishes at the balanced augmented truth.
     op = make_gaussian_operator(5, 4, 30, seed=4)
     inner = LinearLoss(op, op.apply(m_star))
-    lifted = LiftedLoss(inner, 0.5)
+    lifted = LiftedLoss(inner, 0.0)
     x_tilde = np.vstack([u_star, v_star])
     assert g_value(lifted, x_tilde) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         balance_and_augment(m_star, 3)
     with pytest.raises(ValueError):
         balance_and_augment(np.zeros(3), 1)
+    # An exact rank-5 target with factors scaled by 1e3 has sigma_6 near
+    # 4e-10: above an absolute 1e-10 cut, far below the relative one.
+    left = 1e3 * rng.standard_normal((6, 5))
+    big = left @ (1e3 * rng.standard_normal((7, 5))).T
+    u_big, v_big, _ = balance_and_augment(big, 5)
+    np.testing.assert_allclose(u_big @ v_big.T, big, rtol=0.0,
+                               atol=1e-9 * np.linalg.norm(big))
+    with pytest.raises(ValueError, match="above 4"):
+        balance_and_augment(big, 4)

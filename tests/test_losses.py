@@ -8,7 +8,6 @@ from ripgd.losses import (
     LinearOperator,
     LinearLoss,
     OneBitLoss,
-    ScaledLoss,
     RecoveryProblem,
     make_gaussian_operator,
     make_onebit_loss,
@@ -239,22 +238,6 @@ def test_onebit_rho2_value():
     assert abs(onebit_rho2(1.0) - 1.0 / (6.0 * math.sqrt(3.0))) < 1e-15
 
 
-def test_scaled_loss_consistency():
-    rng = np.random.default_rng(5)
-    base = OneBitLoss(rng.uniform(0.1, 0.9, (3, 3)), scale=2.0)
-    scaled = ScaledLoss(base, 3.0)
-    M = rng.standard_normal((3, 3))
-    K = rng.standard_normal((3, 3))
-    assert abs(scaled.value(M) - 3.0 * base.value(M)) < 1e-12
-    np.testing.assert_allclose(scaled.grad(M), 3.0 * base.grad(M), rtol=1e-13)
-    assert abs(scaled.hess_gram(M, K[None])[0, 0]
-               - 3.0 * base.hess_gram(M, K[None])[0, 0]) < 1e-12
-    v, g = scaled.value_and_grad(M)
-    assert abs(v - scaled.value(M)) < 1e-12
-    with pytest.raises(ValueError):
-        ScaledLoss(base, 0.0)
-
-
 def test_estimate_rho1_floor_and_determinism():
     rng = np.random.default_rng(6)
     op = LinearOperator(rng.standard_normal((10, 3, 3)), scale=1e-6)
@@ -313,3 +296,13 @@ def test_recovery_problem_validation():
         RecoveryProblem(loss, m_star, 2, 0.3, 1.7, 0.0, 0.5 * D)
     with pytest.raises(ValueError):
         RecoveryProblem(loss, np.zeros((3, 3)), 1, 0.3, 1.7, 0.0, D)
+    # An exact rank-1 truth at scale: sigma_1 near 4.7e7 leaves sigma_2 near
+    # 3.7e-9, below the rank cut relative to sigma_1.
+    z = 2000.0 * np.random.default_rng(2).standard_normal((8, 1))
+    big = z @ z.T
+    big_loss = LinearLoss(make_gaussian_operator(8, 8, 5, seed=3), np.zeros(5))
+    big_d = np.linalg.norm(big)
+    prob = RecoveryProblem(big_loss, big, 1, 0.3, 1.7, 0.0, big_d)
+    assert prob.sigma_r > 4e7
+    with pytest.raises(ValueError, match="deficient"):
+        RecoveryProblem(big_loss, big, 2, 0.3, 1.7, 0.0, big_d)
