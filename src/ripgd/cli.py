@@ -46,6 +46,7 @@ from .losses import (
     LinearLoss,
     RecoveryProblem,
     _check_dense,
+    _norm,
     estimate_rho1,
     make_gaussian_operator,
     make_onebit_loss,
@@ -271,10 +272,15 @@ def _build_sym_linear(config, seeds):
     op, est = _operator_estimate(config, seeds)
     z = np.random.default_rng(seeds["truth"]).standard_normal((config.n, config.r))
     m_star = z @ z.T
-    loss = LinearLoss(op, op.apply(m_star))
     x0 = np.random.default_rng(seeds["init"]).standard_normal((config.n, config.r))
-    bound_d = max(float(np.linalg.norm(m_star)), float(np.linalg.norm(x0 @ x0.T)))
-    rho1 = estimate_rho1(loss, config.r, est.delta, seed=seeds["rho1"])
+    bound_d = max(_norm(m_star), _norm(x0 @ x0.T))
+    # rho1 is measured on the drawn operator, like the isometry estimate.
+    rho1 = estimate_rho1(LinearLoss(op, op.apply(m_star)), config.r,
+                         est.delta, seed=seeds["rho1"])
+    # The solve applies the operator only to symmetric X X^T, where the
+    # packed symmetrized operator is the same map on half the stack.
+    packed = op.symmetrized()
+    loss = LinearLoss(packed, packed.apply(m_star))
     problem = RecoveryProblem(loss, m_star, config.r, est.delta, rho1, 0.0,
                               bound_d)
     info = {"rip": est.to_dict(), "base_delta": est.delta, "phi": None}
@@ -291,7 +297,7 @@ def _build_asym_linear(config, seeds):
     loss = LiftedLoss(base_loss, est.delta)
     _, _, m_tilde = balance_and_augment(m_star, config.r)
     x0 = np.random.default_rng(seeds["init"]).standard_normal((loss.n, config.r))
-    bound_d = max(float(np.linalg.norm(m_tilde)), float(np.linalg.norm(x0 @ x0.T)))
+    bound_d = max(_norm(m_tilde), _norm(x0 @ x0.T))
     rho1 = estimate_rho1(loss, config.r, loss.delta, seed=seeds["rho1"])
     problem = RecoveryProblem(loss, m_tilde, config.r, loss.delta, rho1, 0.0,
                               bound_d)
@@ -309,7 +315,7 @@ def _build_onebit(config, seeds):
     delta = 0.5
     rho1 = max(ONEBIT_SCALE / 4.0, 1.0 + 2.0 * delta)
     x0 = np.random.default_rng(seeds["init"]).standard_normal((config.n, config.r))
-    bound_d = max(float(np.linalg.norm(m_hat)), float(np.linalg.norm(x0 @ x0.T)))
+    bound_d = max(_norm(m_hat), _norm(x0 @ x0.T))
     problem = RecoveryProblem(loss, m_hat, config.r, delta, rho1,
                               onebit_rho2(ONEBIT_SCALE), bound_d)
     info = {"rip": None, "base_delta": delta, "phi": None}
@@ -404,7 +410,7 @@ def run_experiment(config):
         config.kind, config.n, config.r, config.seed)
     os.makedirs(out_dir, exist_ok=True)
     problem, x0, info, seeds = build_instance(config)
-    dist0 = float(np.linalg.norm(x0 @ x0.T - problem.m_star))
+    dist0 = _norm(x0 @ x0.T - problem.m_star)
     params = None
     if config.solver == "pgd":
         kappa = config.kappa

@@ -42,7 +42,11 @@ def _norm(a):
 
 
 class LinearOperator:
-    """Linear sensing map M -> scale * (<A_1, M>, ..., <A_p, M>)."""
+    """Linear sensing map M -> scale * (<A_1, M>, ..., <A_p, M>).
+
+    ``symmetrized`` gives the map of S_i = (A_i + A_i^T)/2 instead, which
+    agrees with this one on every symmetric M and stores half the stack.
+    """
 
     def __init__(self, matrices, scale=1.0):
         # C order makes the flat row view below share memory with matrices.
@@ -59,6 +63,9 @@ class LinearOperator:
         self.scale = float(scale)
         # (p, n*m) view: apply and adjoint are single matrix-vector products.
         self._rows = matrices.reshape(matrices.shape[0], -1)
+        # A symmetrized operator's packed (p, n(n+1)/2) stack and the indices
+        # that gather its input and scatter its adjoint; see symmetrized.
+        self._packed = self._upper = self._half = self._unpack = None
 
     @property
     def p(self):
@@ -83,13 +90,22 @@ class LinearOperator:
 
     def apply(self, M):
         M = self._check_arg(M)
-        return self.scale * (self._rows @ M.reshape(-1))
+        if self._packed is None:
+            return self.scale * (self._rows @ M.reshape(-1))
+        # <S_i, M> is the sum over j <= k of column (j, k) times
+        # (M_jk + M_kj) / 2; the 1/2 is folded into the scale.
+        upper = (M + M.T).reshape(-1)[self._upper]
+        return (0.5 * self.scale) * (self._packed @ upper)
 
     def apply_batch(self, Ms):
         """Apply the operator to a stack of matrices, (k, n, m) -> (k, p)."""
         Ms = np.asarray(Ms, dtype=float)
         if Ms.ndim != 3 or Ms.shape[1:] != (self.n, self.m):
             raise ValueError("expected a (k, %d, %d) stack" % (self.n, self.m))
+        if self._packed is not None:
+            # <S_i, M> = <A_i, (M + M^T)/2> on the full rows; a symmetric M
+            # passes through with its bits.
+            Ms = 0.5 * (Ms + Ms.transpose(0, 2, 1))
         # One GEMM on the flat row view; tensordot would also copy the
         # sensing stack, transposed, on every call.
         flat = Ms.reshape(len(Ms), self._rows.shape[1])
@@ -99,11 +115,51 @@ class LinearOperator:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.p,):
             raise ValueError("adjoint argument must be a length-%d vector" % self.p)
-        return self.scale * (v @ self._rows).reshape(self.n, self.m)
+        if self._packed is None:
+            return self.scale * (v @ self._rows).reshape(self.n, self.m)
+        # sum_i v_i S_i: its upper triangle is the packed product, halved
+        # off the diagonal, and both triangles read the same entries.
+        w = v @ self._packed
+        w *= self.scale * self._half
+        return w[self._unpack].reshape(self.n, self.n)
 
     def with_scale(self, scale):
-        """Copy of this operator with the scale replaced."""
-        return LinearOperator(self.matrices, scale=scale)
+        """Copy of this operator with the scale replaced; arrays are shared."""
+        out = LinearOperator(self.matrices, scale=scale)
+        out._packed, out._upper, out._half, out._unpack = (
+            self._packed, self._upper, self._half, self._unpack)
+        return out
+
+    def symmetrized(self):
+        """The map of S_i = (A_i + A_i^T)/2 on every n-by-n matrix.
+
+        Its stack is packed, p by n(n+1)/2: column (j, k), j <= k, holds
+        A_jk + A_kj off the diagonal and A_jj on it, so ``apply`` and
+        ``adjoint`` each stream half the sensing stack and the adjoint is
+        exactly symmetric.  ``apply_batch`` symmetrizes its input and runs
+        on the full rows of ``matrices``, which stays the drawn stack.  On
+        symmetric M, as every M = X X^T, the map equals this one.
+        """
+        n = self.n
+        if self.m != n:
+            raise ValueError("a symmetrized operator needs square matrices")
+        j, k = np.triu_indices(n)
+        diag = j == k
+        out = LinearOperator(self.matrices, scale=self.scale)
+        out._upper = j * n + k
+        A = self.matrices
+        # One sum over the stack, then one gather of its columns, is several
+        # times faster than gathering both triangles, and keeps the stack in
+        # C order: the GEMV kernel, and so the bits, depend on the order.
+        # A_jj + A_jj halved is A_jj exactly.
+        out._packed = (A + A.transpose(0, 2, 1)).reshape(self.p, -1).take(
+            out._upper, axis=1)
+        out._packed[:, diag] *= 0.5
+        out._half = np.where(diag, 1.0, 0.5)
+        unpack = np.empty((n, n), dtype=np.intp)
+        unpack[j, k] = unpack[k, j] = np.arange(len(j))
+        out._unpack = unpack.reshape(-1)
+        return out
 
 
 def make_gaussian_operator(n, m, p, seed):
@@ -274,10 +330,10 @@ def estimate_rho1(loss, r, delta, *, seed=0):
         a = rng.standard_normal((loss.n, r))
         b = rng.standard_normal((loss.n, r))
         ma, mb = a @ a.T, b @ b.T
-        gap = np.linalg.norm(ma - mb)
+        gap = _norm(ma - mb)
         if gap < 1e-12:
             continue
-        ratio = np.linalg.norm(loss.grad(ma) - loss.grad(mb)) / gap
+        ratio = _norm(loss.grad(ma) - loss.grad(mb)) / gap
         worst = max(worst, ratio)
     return max(1.5 * worst, 1.0 + 2.0 * delta)
 
@@ -304,7 +360,7 @@ class RecoveryProblem:
             raise ValueError("rho2 must be nonnegative")
         sv = np.linalg.svd(m_star, compute_uv=False)
         check_rank(sv, r)
-        norm = np.linalg.norm(m_star)
+        norm = _norm(m_star)
         if norm > bound_d * (1 + 1e-12):
             raise ValueError("bound_d must dominate ||m_star||_F")
         self.loss = loss

@@ -250,7 +250,7 @@ def gradient_descent(problem, x0, eta, max_iters=10000, tol=1e-8,
 def _ball_noise(rng, shape, radius):
     """Uniform draw from the Frobenius ball of the given radius."""
     direction = rng.standard_normal(shape)
-    norm = np.linalg.norm(direction)
+    norm = _norm(direction)
     if norm == 0.0:
         return np.zeros(shape)
     size = rng.uniform() ** (1.0 / direction.size)
@@ -274,7 +274,7 @@ def perturbed_gd(problem, x0, params, eps_target, max_iters=100000, seed=0):
     if eps_target <= 0:
         raise ValueError("eps_target must be positive")
     X = np.array(x0, dtype=float)
-    if np.linalg.norm(X @ X.T) > problem.bound_d * (1 + 1e-12):
+    if _norm(X @ X.T) > problem.bound_d * (1 + 1e-12):
         raise ValueError("initial point violates the norm bound")
     return _descend(problem, X, params.eta, max_iters, eps_target,
                     params=params, seed=seed)

@@ -23,6 +23,7 @@ from ripgd.losses import (
     LinearOperator,
     RecoveryProblem,
     estimate_rho1,
+    make_gaussian_operator,
     make_onebit_loss,
     onebit_rho2,
 )
@@ -175,9 +176,12 @@ def test_benchmark_tracer_sees_every_loss_evaluation():
     # The benchmark's gate fails when a traced layer records no calls, and
     # an override (say OneBitLoss.value_and_grad) would hide the wrapped
     # MatrixLoss method.  The spans must see one call per trace row plus
-    # one per perturbation, on the 1-bit gd path, the linear pgd path and
-    # the lifted pgd path, where a step that bypassed the lift's
-    # value_and_grad would leave its span empty.
+    # one per perturbation, on the 1-bit gd path, the linear pgd path, the
+    # packed symmetric pgd path and the lifted pgd path, where a step that
+    # bypassed the lift's value_and_grad would leave its span empty.  Every
+    # linear evaluation is one apply and one adjoint, which the tracer
+    # wraps on LinearOperator itself: a packed operator that overrode them
+    # in a subclass would leave both spans empty.
     tracing = load_perfbench("tracing")
     m_hat = np.array([[1.0, 0.5, -0.25], [0.5, 0.25, -0.125],
                       [-0.25, -0.125, 0.0625]])
@@ -198,15 +202,28 @@ def test_benchmark_tracer_sees_every_loss_evaluation():
     lifted = RecoveryProblem(lift, m_tilde, 1, lift.delta, 3.0, 0.0,
                              np.linalg.norm(m_tilde))
     lifted_params = pgd_params(lifted, c=0.5, kappa=1.0, gamma=0.1)
+    # A 3x3 rank-1 truth on a packed symmetric operator, from the saddle
+    # X = 0: one perturbation, then plain steps.
+    packed = make_gaussian_operator(3, 3, 12, seed=0).symmetrized()
+    packed = packed.with_scale(12 ** -0.5)
+    z = np.array([[1.0], [0.5], [-0.5]])
+    sym = RecoveryProblem(LinearLoss(packed, packed.apply(z @ z.T)), z @ z.T,
+                          1, 0.5, 4.0, 0.0, np.linalg.norm(z @ z.T))
+    sym_params = pgd_params(sym, c=0.5, kappa=1.0, gamma=0.1)
     runs = [
         (lambda: gradient_descent(onebit, x0, eta=0.05, max_iters=40,
-                                  tol=0.0), False),
+                                  tol=0.0), False, False),
         (lambda: perturbed_gd(lifted, np.zeros((3, 1)), lifted_params,
-                              eps_target=1e-6, max_iters=300, seed=3), True),
+                              eps_target=1e-6, max_iters=300, seed=3),
+         True, True),
+        (lambda: perturbed_gd(sym, np.zeros((3, 1)), sym_params,
+                              eps_target=1e-6, max_iters=300, seed=3),
+         False, True),
         (lambda: perturbed_gd(scalar, np.zeros((1, 1)), params,
-                              eps_target=1e-6, max_iters=20000, seed=3), False),
+                              eps_target=1e-6, max_iters=20000, seed=3),
+         False, True),
     ]
-    for run, is_lifted in runs:
+    for run, is_lifted, is_linear in runs:
         tracer = tracing.Tracer()
         patches = tracing.Patches()
         try:
@@ -222,7 +239,9 @@ def test_benchmark_tracer_sees_every_loss_evaluation():
         assert names.count("factored.grad") == 0
         lifted_spans = names.count("factored.lifted_value_and_grad")
         assert lifted_spans == (expected if is_lifted else 0)
-        if is_lifted:
+        assert names.count("losses.apply") == (expected if is_linear else 0)
+        assert names.count("losses.adjoint") == (expected if is_linear else 0)
+        if is_linear:
             assert trace.perturbed.any()
     # The pgd run took both the perturbation and the revert branch.
     assert trace.perturbed.any() and trace.phase2_start

@@ -99,6 +99,63 @@ def test_operator_rows_follow_noncontiguous_input():
         op.apply(M), np.tensordot(mats, M, axes=([1, 2], [0, 1])))
 
 
+def test_symmetrized_operator_is_the_symmetric_part_map():
+    # The packed operator is the map of S_i = (A_i + A_i^T)/2 on every
+    # n-by-n input, symmetric or not; a gather of the upper triangle alone
+    # would be wrong on a non-symmetric M.
+    rng = np.random.default_rng(5)
+    for n, p in ((1, 3), (4, 9), (40, 120)):
+        op = make_gaussian_operator(n, n, p, seed=n).with_scale(0.37)
+        packed = op.symmetrized()
+        assert packed._packed.shape == (p, n * (n + 1) // 2)
+        # C order fixes the GEMV kernel, and with it the solve's bits.
+        assert packed._packed.flags.c_contiguous
+        S = 0.5 * (op.matrices + op.matrices.transpose(0, 2, 1))
+        z = rng.standard_normal((n, 2))
+        for M in (rng.standard_normal((n, n)), z @ z.T):
+            want = op.scale * np.tensordot(S, M, axes=([1, 2], [0, 1]))
+            np.testing.assert_allclose(packed.apply(M), want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+        v = rng.standard_normal(p)
+        W = packed.adjoint(v)
+        want = op.scale * np.tensordot(v, S, axes=(0, 0))
+        np.testing.assert_allclose(W, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+        # Both triangles read the same entries: bit-symmetric.
+        assert W.tobytes() == np.ascontiguousarray(W.T).tobytes()
+        # <apply(M), v> = <M, adjoint(v)>
+        M = rng.standard_normal((n, n))
+        lhs = packed.apply(M) @ v
+        assert abs(lhs - np.sum(M * W)) < 1e-12 * max(1.0, abs(lhs))
+
+
+def test_symmetrized_operator_batch_scale_and_symmetric_input():
+    rng = np.random.default_rng(6)
+    op = make_gaussian_operator(5, 5, 17, seed=2).with_scale(0.61)
+    packed = op.symmetrized()
+    Ms = rng.standard_normal((4, 5, 5))
+    Zs = rng.standard_normal((4, 5, 2))
+    sym = Zs @ Zs.transpose(0, 2, 1)
+    for stack in (Ms, sym):
+        batch = packed.apply_batch(stack)
+        for k in range(len(stack)):
+            np.testing.assert_allclose(batch[k], packed.apply(stack[k]),
+                                       rtol=1e-12)
+    # On symmetric input the batch runs on the drawn rows with their bits,
+    # and the packed map equals the drawn one.
+    assert packed.apply_batch(sym).tobytes() == op.apply_batch(sym).tobytes()
+    for M in sym:
+        np.testing.assert_allclose(packed.apply(M), op.apply(M), rtol=1e-12)
+    # with_scale keeps the packed form and shares its stack.
+    scaled = packed.with_scale(2.0)
+    assert scaled._packed is packed._packed and scaled.scale == 2.0
+    np.testing.assert_allclose(scaled.apply(Ms[0]),
+                               (2.0 / 0.61) * packed.apply(Ms[0]), rtol=1e-12)
+    assert op.with_scale(2.0)._packed is None
+    with pytest.raises(ValueError, match="square"):
+        make_gaussian_operator(3, 4, 5, seed=0).symmetrized()
+
+
 def test_operator_validation():
     with pytest.raises(ValueError):
         LinearOperator(np.zeros((2, 2)))
