@@ -149,45 +149,81 @@ def verify_gradhessian(loss, X, m_star, delta):
     return report
 
 
-def align(X, Z):
-    """Rotate Z so that X^T Z becomes symmetric positive semidefinite."""
+def _stack(X, Z):
+    """X and Z as (k, n, r) float stacks, and whether they came as one pair."""
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    P, _, Qt = np.linalg.svd(X.T @ Z)
-    return Z @ (Qt.T @ P.T)
+    if X.shape != Z.shape or X.ndim not in (2, 3):
+        raise ValueError("X and Z must share one (n, r) or (k, n, r) shape; "
+                         "got %s and %s" % (X.shape, Z.shape))
+    return (X[None], Z[None], True) if X.ndim == 2 else (X, Z, False)
+
+
+def _t(A):
+    """Transpose every matrix of a stack."""
+    return A.transpose(0, 2, 1)
+
+
+def _norms(A):
+    """Frobenius norm of every matrix of a stack, each bit-equal to ``_norm``."""
+    F = A.reshape(len(A), 1, A.shape[1] * A.shape[2])
+    return np.sqrt((F @ _t(F))[:, 0, 0])
+
+
+def align(X, Z):
+    """Rotate Z so that X^T Z becomes symmetric positive semidefinite.
+
+    X and Z are one (n, r) pair or (k, n, r) stacks of k pairs; the result
+    has the same shape.
+    """
+    X, Z, single = _stack(X, Z)
+    P, _, Qt = np.linalg.svd(_t(X) @ Z)
+    Z = Z @ (_t(Qt) @ _t(P))
+    return Z[0] if single else Z
 
 
 def _require_aligned(X, Z):
-    G = X.T @ Z
-    scale = 1.0 + _norm(G)
-    if _norm(G - G.T) > 1e-8 * scale:
+    """Raise unless X^T Z is symmetric PSD for the pair or every stacked pair."""
+    X, Z, _ = _stack(X, Z)
+    G = _t(X) @ Z
+    scale = 1.0 + _norms(G)
+    if (_norms(G - _t(G)) > 1e-8 * scale).any():
         raise ValueError("X^T Z is not symmetric; align Z first")
-    if np.linalg.eigvalsh(0.5 * (G + G.T))[0] < -1e-8 * scale:
+    if (np.linalg.eigvalsh(0.5 * (G + _t(G)))[:, 0] < -1e-8 * scale).any():
         raise ValueError("X^T Z is not positive semidefinite; align Z first")
 
 
 def _range_parts(X, Z):
-    """The parts of Z inside and outside the range of X (float arrays)."""
+    """The parts of Z inside and outside the range of X (float arrays).
+
+    On stacks, each pair keeps the singular directions of its own X that
+    pass the relative rank cut.
+    """
+    X, Z, single = _stack(X, Z)
     U, sv, _ = np.linalg.svd(X, full_matrices=False)
-    basis = U[:, _significant(sv)]
-    z_range = basis @ (basis.T @ Z)
-    return z_range, Z - z_range
+    keep = np.array([_significant(s) for s in sv]).reshape(sv.shape)
+    basis = U * keep[:, None, :]
+    z_range = basis @ (_t(basis) @ Z)
+    z_perp = Z - z_range
+    return (z_range[0], z_perp[0]) if single else (z_range, z_perp)
 
 
 def normcompare_check(X, Z):
     """Factor distance bound for aligned pairs.
 
     Returns whether sigma_r(Z Z^T) * ||X - Z||_F^2 is at most
-    ||X X^T - Z Z^T||_F^2 / (2 (sqrt(2) - 1)).
+    ||X X^T - Z Z^T||_F^2 / (2 (sqrt(2) - 1)): a bool for one (n, r) pair,
+    a list of bools for (k, n, r) stacks.
     """
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
+    X, Z, single = _stack(X, Z)
     _require_aligned(X, Z)
-    r = Z.shape[1]
-    sig = np.linalg.svd(Z, compute_uv=False)
-    lhs = sig[r - 1] ** 2 * _norm(X - Z) ** 2
-    rhs = _norm(X @ X.T - Z @ Z.T) ** 2 / (2.0 * (math.sqrt(2.0) - 1.0))
-    return bool(lhs <= rhs + 1e-10)
+    r = Z.shape[-1]
+    sig = np.linalg.svd(Z, compute_uv=False)[:, r - 1].tolist()
+    gap = _norms(X - Z).tolist()
+    err = _norms(X @ _t(X) - Z @ _t(Z)).tolist()
+    passed = [s ** 2 * g ** 2 <= e ** 2 / (2.0 * (math.sqrt(2.0) - 1.0)) + 1e-10
+              for s, g, e in zip(sig, gap, err)]
+    return passed[0] if single else passed
 
 
 def pl_dual_bound(X, Z, mu_prime, C_tilde, sigma_r):
@@ -254,40 +290,55 @@ def saddle_eta0(X, Z, zeta=None, kappa=None):
     ||z_perp z_perp^T||) determine the certificate level eta0, which is
     checked against its proven ceiling of one third.  When zeta and kappa
     are given, the stationarity slack (sqrt(r) + sqrt(2)/zeta) * kappa /
-    ||e|| of an approximate critical point is recorded alongside.
+    ||e|| of an approximate critical point is recorded alongside.  One
+    (n, r) pair gives a report; (k, n, r) stacks give a list of k reports.
     """
-    X = np.asarray(X, dtype=float)
+    X, Z, single = _stack(X, Z)
     Z = align(X, Z)
-    err = X @ X.T - Z @ Z.T
-    err_norm = _norm(err)
-    if err_norm <= 1e-12 * max(1.0, _norm(X @ X.T)):
+    xxt = X @ _t(X)
+    err_norm = _norms(xxt - Z @ _t(Z))
+    if (err_norm <= 1e-12 * np.maximum(1.0, _norms(xxt))).any():
         raise ValueError("X X^T equals Z Z^T; no saddle certificate applies")
-    r = X.shape[1]
+    slack = zeta is not None and kappa is not None
+    if slack and not zeta > 0:
+        raise ValueError("zeta must be positive")
+    r = X.shape[-1]
     z_perp = _range_parts(X, Z)[1]
-    pzz = z_perp @ z_perp.T
-    pzz_norm = _norm(pzz)
-    report = CertificateReport(kind="saddle")
-    if zeta is not None and kappa is not None:
-        if not zeta > 0:
-            raise ValueError("zeta must be positive")
-        slack = (math.sqrt(r) + math.sqrt(2.0) / zeta) * kappa / err_norm
-        report.quantities["stationarity_slack"] = float(slack)
-    if pzz_norm <= 1e-12 * max(1.0, err_norm):
-        report.special_case = True
-        report.quantities.update(alpha=0.0, beta=0.0, eta0=0.0)
-        report.add_check("eta0_bound", 0.0, 1.0 / 3.0, tol=1e-8)
-        return report
-    sig_x = np.linalg.svd(X, compute_uv=False)
-    alpha = min(1.0, pzz_norm / err_norm)
-    beta = sig_x[r - 1] ** 2 * float(np.trace(pzz)) / (err_norm * pzz_norm)
-    root = math.sqrt(max(0.0, 1.0 - alpha ** 2))
-    if beta >= alpha / (1.0 + root):
-        eta0 = (1.0 - root) / (1.0 + root)
-    else:
-        eta0 = beta * (alpha - beta) / (1.0 - beta * alpha)
-    report.quantities.update(alpha=float(alpha), beta=float(beta), eta0=float(eta0))
-    report.add_check("eta0_bound", eta0, 1.0 / 3.0, tol=1e-8)
-    return report
+    pzz = z_perp @ _t(z_perp)
+    sig_x = np.linalg.svd(X, compute_uv=False)[:, r - 1]
+    reports = []
+    for err_norm, pzz_norm, sig_r, trace in zip(
+            err_norm.tolist(), _norms(pzz).tolist(), sig_x.tolist(),
+            np.trace(pzz, axis1=1, axis2=2).tolist()):
+        report = CertificateReport(kind="saddle")
+        reports.append(report)
+        if slack:
+            report.quantities["stationarity_slack"] = float(
+                (math.sqrt(r) + math.sqrt(2.0) / zeta) * kappa / err_norm)
+        if pzz_norm <= 1e-12 * max(1.0, err_norm):
+            report.special_case = True
+            report.quantities.update(alpha=0.0, beta=0.0, eta0=0.0)
+            report.add_check("eta0_bound", 0.0, 1.0 / 3.0, tol=1e-8)
+            continue
+        alpha = min(1.0, pzz_norm / err_norm)
+        beta = sig_r ** 2 * trace / (err_norm * pzz_norm)
+        root = math.sqrt(max(0.0, 1.0 - alpha ** 2))
+        if beta >= alpha / (1.0 + root):
+            eta0 = (1.0 - root) / (1.0 + root)
+        else:
+            eta0 = beta * (alpha - beta) / (1.0 - beta * alpha)
+        report.quantities.update(alpha=alpha, beta=beta, eta0=eta0)
+        report.add_check("eta0_bound", eta0, 1.0 / 3.0, tol=1e-8)
+    return reports[0] if single else reports
+
+
+def _by_shape(pairs):
+    """The (X, Z) pairs as stacks, one per shape, in order within each."""
+    groups = {}
+    for X, Z in pairs:
+        groups.setdefault(X.shape, []).append((X, Z))
+    return [(np.stack([X for X, _ in group]), np.stack([Z for _, Z in group]))
+            for group in groups.values()]
 
 
 def run_certificate_suites(seed=0, gradhessian=100, saddle=500, pl_dual=200,
@@ -328,8 +379,9 @@ def run_certificate_suites(seed=0, gradhessian=100, saddle=500, pl_dual=200,
         "min_margin": float(min(margins)) if margins else None,
     }
 
-    worst_eta0 = 0.0
-    failures = 0
+    # Pairs are drawn one at a time in a fixed order, then checked with one
+    # stacked call per shape; a suite's outcome is the same in any order.
+    pairs = []
     for i in range(saddle):
         n = int(rng.integers(2, 7))
         r = int(rng.integers(1, n))
@@ -341,11 +393,14 @@ def run_certificate_suites(seed=0, gradhessian=100, saddle=500, pl_dual=200,
             Z = X @ rng.standard_normal((r, r))
         else:
             Z = rng.standard_normal((n, r))
-        if _norm(X @ X.T - Z @ Z.T) <= 1e-8:
-            continue
-        rep = saddle_eta0(X, Z)
-        failures += 0 if rep.passed else 1
-        worst_eta0 = max(worst_eta0, rep.quantities["eta0"])
+        pairs.append((X, Z))
+    worst_eta0 = 0.0
+    failures = 0
+    for X, Z in _by_shape(pairs):
+        distinct = _norms(X @ _t(X) - Z @ _t(Z)) > 1e-8
+        for rep in saddle_eta0(X[distinct], Z[distinct]):
+            failures += 0 if rep.passed else 1
+            worst_eta0 = max(worst_eta0, rep.quantities["eta0"])
     results["saddle_eta0"] = {
         "count": saddle, "failures": failures, "max_eta0": worst_eta0,
         "margin_to_third": 1.0 / 3.0 - worst_eta0,
@@ -377,14 +432,14 @@ def run_certificate_suites(seed=0, gradhessian=100, saddle=500, pl_dual=200,
         "min_margin": float(min(margins)) if margins else None,
     }
 
-    failures = 0
+    pairs = []
     for _ in range(normcompare):
         n = int(rng.integers(2, 7))
         r = int(rng.integers(1, n + 1))
         X = rng.standard_normal((n, r))
-        Z = align(X, rng.standard_normal((n, r)))
-        if not normcompare_check(X, Z):
-            failures += 1
+        pairs.append((X, rng.standard_normal((n, r))))
+    failures = sum(normcompare_check(X, align(X, Z)).count(False)
+                   for X, Z in _by_shape(pairs))
     results["normcompare"] = {"count": normcompare, "failures": failures}
 
     return results

@@ -63,6 +63,11 @@ GOLDEN_CERTIFY = "f9d69a06a830e970cd1f3fb3972e0539c1f9e5ab5b44e357227b583f331e7c
 # second seed's report catches more checks whose bits moved.
 GOLDEN_CERTIFY_SEED1 = (
     "7121dfae4b439b598ddea56e4cc5dd9af2bb5562d7c6ef891dc39a4a2306f989")
+# The same at seed 0 with ten times the default counts, the benchmark's
+# sweep: each shape group of the saddle and normcompare suites then holds
+# hundreds of pairs, checked in one stacked call.
+GOLDEN_CERTIFY_10X = (
+    "84f0c5ae4e3768ec6b0c7e974566e771ade775f4d32d290da07df7de7c22b7b7")
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +317,15 @@ def test_golden_certify_report_seed1(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["certify", "--seed", "1", "--out", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_CERTIFY_SEED1
+
+
+def test_golden_certify_report_ten_times_counts(tmp_path):
+    report = tmp_path / "certify.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["certify", "--gradhessian", "1000", "--saddle", "5000",
+                     "--pl-dual", "2000", "--normcompare", "10000",
+                     "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_CERTIFY_10X
 
 
 @pytest.mark.parametrize("name", ["fig1a", "fig1b"])

@@ -256,7 +256,18 @@ def test_benchmark_tracer_sees_every_certify_layer():
     counts = {"gradhessian": 3, "saddle": 6, "pl_dual": 3, "normcompare": 4}
     tracer = tracing.Tracer()
     patches = tracing.Patches()
+    # The sweep checks normcompare pairs in one call per shape, so a span
+    # covers a stack of pairs; the pairs are counted through the calls.
+    stacks = []
+
+    def count_pairs(check):
+        def counted(X, Z):
+            stacks.append(len(X) if np.ndim(X) == 3 else 1)
+            return check(X, Z)
+        return counted
+
     try:
+        patches.wrap("ripgd.certify", "normcompare_check", count_pairs)
         tracer.install(patches)
         report = ripgd.certify.run_certificate_suites(seed=0, **counts)
     finally:
@@ -267,4 +278,5 @@ def test_benchmark_tracer_sees_every_certify_layer():
     assert spans.count("certify.verify_gradhessian") == counts["gradhessian"]
     assert spans.count("factored.hess_min_eig") == counts["gradhessian"]
     assert spans.count("certify.pl_dual_bound") == counts["pl_dual"]
-    assert spans.count("certify.normcompare_check") == counts["normcompare"]
+    assert spans.count("certify.normcompare_check") == len(stacks)
+    assert sum(stacks) == counts["normcompare"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.special import expit
 from ripgd.losses import (
     LinearLoss,
     LinearOperator,
+    _significant,
     make_gaussian_operator,
     make_onebit_loss,
 )
@@ -390,6 +392,71 @@ def test_saddle_eta0_random_bound():
         rep = saddle_eta0(X, Z)
         assert rep.quantities["eta0"] <= 1.0 / 3.0 + 1e-8
         assert rep.passed
+
+
+def _stacks_of_every_shape():
+    """(X, Z) stacks for n = 2..6 and every r <= n, with special pairs.
+
+    Pair 1 has Z inside the range of X, and pair 2 has a rank-deficient X,
+    whose dependent direction falls below the relative rank cut.
+    """
+    rng = np.random.default_rng(31)
+    for n in range(2, 7):
+        for r in range(1, n + 1):
+            X = rng.standard_normal((5, n, r))
+            Z = rng.standard_normal((5, n, r))
+            Z[1] = X[1] @ rng.standard_normal((r, r))
+            X[2, :, -1] = 3.0 * X[2, :, 0] if r > 1 else 0.0
+            assert not _significant(np.linalg.svd(X[2], compute_uv=False)).all()
+            yield X, Z
+
+
+def test_stacks_match_single_pairs_bit_for_bit():
+    def bits(report):
+        return repr(report.to_dict())
+
+    for X, Z in _stacks_of_every_shape():
+        Za = align(X, Z)
+        z_range, z_perp = _range_parts(X, Za)
+        for i in range(len(X)):
+            assert Za[i].tobytes() == align(X[i], Z[i]).tobytes()
+            one_range, one_perp = _range_parts(X[i], Za[i])
+            assert z_range[i].tobytes() == one_range.tobytes()
+            assert z_perp[i].tobytes() == one_perp.tobytes()
+        assert normcompare_check(X, Za) == [
+            normcompare_check(x, z) for x, z in zip(X, Za)]
+        for kwargs in ({}, {"zeta": 0.5, "kappa": 0.1}):
+            assert [bits(rep) for rep in saddle_eta0(X, Z, **kwargs)] == [
+                bits(saddle_eta0(x, z, **kwargs)) for x, z in zip(X, Z)]
+        assert saddle_eta0(X, Z)[1].special_case
+        # A stack of one gives a list of the one pair's result.
+        assert [bits(rep) for rep in saddle_eta0(X[:1], Z[:1])] == [
+            bits(saddle_eta0(X[0], Z[0]))]
+        assert normcompare_check(X[:1], Za[:1]) == [
+            normcompare_check(X[0], Za[0])]
+        # One pair with X X^T = Z Z^T fails the stack, as it fails alone.
+        with pytest.raises(ValueError, match="no saddle"):
+            saddle_eta0(np.concatenate([X, X[:1]]), np.concatenate([Z, X[:1]]))
+        with pytest.raises(ValueError, match="no saddle"):
+            saddle_eta0(X[0], X[0].copy())
+        # So does one pair that is not aligned.
+        with pytest.raises(ValueError, match="align"):
+            normcompare_check(np.concatenate([X, X[:1]]),
+                              np.concatenate([Za, -X[:1]]))
+
+
+def test_pair_checks_refuse_mismatched_shapes():
+    # A (k, n, r) X with an (n, r) Z would broadcast through the stacked
+    # products and check the wrong pairs.
+    X = np.ones((3, 4, 2))
+    cases = [(X, np.ones((4, 2))), (X[0], X), (X, np.ones((3, 4, 1))),
+             (X, np.ones((2, 4, 2))), (np.ones(4), np.ones(4)),
+             (X[None], X[None])]
+    for check in (align, normcompare_check, saddle_eta0):
+        for x, z in cases:
+            with pytest.raises(ValueError, match=re.escape(
+                    "got %s and %s" % (x.shape, z.shape))):
+                check(x, z)
 
 
 def test_run_certificate_suites_small():
