@@ -201,7 +201,7 @@ def _range_parts(X, Z):
     """
     X, Z, single = _stack(X, Z)
     U, sv, _ = np.linalg.svd(X, full_matrices=False)
-    keep = np.array([_significant(s) for s in sv]).reshape(sv.shape)
+    keep = _significant(sv)
     basis = U * keep[:, None, :]
     z_range = basis @ (_t(basis) @ Z)
     z_perp = Z - z_range

@@ -21,11 +21,21 @@ def _check_factor(loss, X):
     return X
 
 
+def _factor_grad(loss, W, X):
+    """(W + W^T) X, as 2 W X when the loss declares W symmetric.
+
+    X X^T is bit-symmetric, so such a W is too; W + W^T is then exactly 2W,
+    and doubling is exact, so both forms give the same bits.
+    """
+    if loss.symmetric_grad:
+        return 2.0 * W.dot(X)
+    return (W + W.T).dot(X)
+
+
 def g_grad(loss, X):
     """Gradient of X -> loss(X X^T), namely (W + W^T) X with W = grad loss."""
     X = _check_factor(loss, X)
-    W = loss.grad(X @ X.T)
-    return (W + W.T) @ X
+    return _factor_grad(loss, loss.grad(X @ X.T), X)
 
 
 def g_value_and_grad(loss, X):
@@ -37,7 +47,7 @@ def g_value_and_grad(loss, X):
     X = _check_factor(loss, X)
     N = X @ X.T
     v, W = loss.value_and_grad(N)
-    return v, (W + W.T) @ X, N
+    return v, _factor_grad(loss, W, X), N
 
 
 def _basis_images(X):
@@ -106,8 +116,13 @@ class LiftedLoss(MatrixLoss):
     the inner loss is evaluated once, on N12, and that result stands in for
     N21^T.  Identical inputs give identical outputs, so the value and
     gradient are the same bits as with two evaluations.  The scale
-    multiplies each result last.
+    multiplies each result last.  At a bit-symmetric M the inner gradient
+    then lands on both off-diagonal blocks as g and g^T, and the balancing
+    part is symmetric, so the gradient is bit-symmetric whatever the inner
+    loss: ``symmetric_grad`` holds.
     """
+
+    symmetric_grad = True
 
     def __init__(self, inner, delta):
         self.delta = lift_delta(delta)

@@ -62,6 +62,8 @@ class LinearOperator:
         self.matrices = matrices
         self.scale = float(scale)
         # (p, n*m) view: apply and adjoint are single matrix-vector products.
+        # They call ndarray.dot, which reaches the same BLAS routine as `@`
+        # without the matmul ufunc's dispatch, so the bits are the same.
         self._rows = matrices.reshape(matrices.shape[0], -1)
         # A symmetrized operator's packed (p, n(n+1)/2) stack and the indices
         # that gather its input and scatter its adjoint; see symmetrized.
@@ -91,11 +93,11 @@ class LinearOperator:
     def apply(self, M):
         M = self._check_arg(M)
         if self._packed is None:
-            return self.scale * (self._rows @ M.reshape(-1))
+            return self.scale * self._rows.dot(M.reshape(-1))
         # <S_i, M> is the sum over j <= k of column (j, k) times
         # (M_jk + M_kj) / 2; the 1/2 is folded into the scale.
         upper = (M + M.T).reshape(-1)[self._upper]
-        return (0.5 * self.scale) * (self._packed @ upper)
+        return (0.5 * self.scale) * self._packed.dot(upper)
 
     def apply_batch(self, Ms):
         """Apply the operator to a stack of matrices, (k, n, m) -> (k, p)."""
@@ -116,10 +118,10 @@ class LinearOperator:
         if v.shape != (self.p,):
             raise ValueError("adjoint argument must be a length-%d vector" % self.p)
         if self._packed is None:
-            return self.scale * (v @ self._rows).reshape(self.n, self.m)
+            return self.scale * v.dot(self._rows).reshape(self.n, self.m)
         # sum_i v_i S_i: its upper triangle is the packed product, halved
         # off the diagonal, and both triangles read the same entries.
-        w = v @ self._packed
+        w = v.dot(self._packed)
         w *= self.scale * self._half
         return w[self._unpack].reshape(self.n, self.n)
 
@@ -178,10 +180,14 @@ class MatrixLoss:
     Gram matrix [<dirs[i], H(M) dirs[j]>] of the Hessian H(M) over a
     (k, n, m) stack of directions.  ``value_and_grad`` may be overridden when
     a loss can share the work.  ``constant_hessian`` is true when the Hessian
-    does not depend on the base point M.
+    does not depend on the base point M.  ``symmetric_grad`` is true when
+    ``grad(M)`` is bit-symmetric at every bit-symmetric M; the constructor
+    decides it, and ``factored`` then forms (W + W^T) X as 2 W X, which
+    gives the same bits.
     """
 
     constant_hessian = False
+    symmetric_grad = False
     n = None
     m = None
 
@@ -208,7 +214,12 @@ class MatrixLoss:
 
 
 class LinearLoss(MatrixLoss):
-    """Quadratic measurement loss 0.5 * ||op(M) - d||^2."""
+    """Quadratic measurement loss 0.5 * ||op(M) - d||^2.
+
+    The operator checks the argument's shape, so the loss does not.  A
+    symmetrized operator's adjoint writes one value to both triangles, so
+    its gradient is symmetric; a drawn operator's is not.
+    """
 
     constant_hessian = True
 
@@ -220,18 +231,18 @@ class LinearLoss(MatrixLoss):
         self.d = d
         self.n = operator.n
         self.m = operator.m
+        self.symmetric_grad = operator._packed is not None
 
     def value(self, M):
-        res = self.operator.apply(self._check(M)) - self.d
-        return 0.5 * float(res @ res)
+        res = self.operator.apply(M) - self.d
+        return 0.5 * float(res.dot(res))
 
     def grad(self, M):
-        res = self.operator.apply(self._check(M)) - self.d
-        return self.operator.adjoint(res)
+        return self.operator.adjoint(self.operator.apply(M) - self.d)
 
     def value_and_grad(self, M):
-        res = self.operator.apply(self._check(M)) - self.d
-        return 0.5 * float(res @ res), self.operator.adjoint(res)
+        res = self.operator.apply(M) - self.d
+        return 0.5 * float(res.dot(res)), self.operator.adjoint(res)
 
     def hess_gram(self, M, dirs):
         B = self.operator.apply_batch(dirs)
@@ -260,11 +271,16 @@ class OneBitLoss(MatrixLoss):
         self.scale = float(scale)
         self.n = y.shape[0]
         self.m = y.shape[1]
+        # expit(M) - y at a symmetric M: entries of y that compare equal
+        # differ at most in the sign of a zero, which the subtraction drops.
+        self.symmetric_grad = bool(np.array_equal(y, y.T))
 
     def value(self, M):
         M = self._check(M)
-        # logaddexp keeps log(1 + exp(M)) finite for large |M|.
-        return self.scale * float((np.logaddexp(0.0, M) - self.y * M).sum())
+        # logaddexp keeps log(1 + exp(M)) finite for large |M|; add.reduce
+        # is what ndarray.sum calls, without its Python wrapper.
+        return self.scale * float(np.add.reduce(
+            np.logaddexp(0.0, M) - self.y * M, axis=None))
 
     def grad(self, M):
         M = self._check(M)
@@ -298,8 +314,12 @@ def onebit_rho2(scale):
 
 
 def _significant(sv):
-    """Mask of the descending singular values sv that count toward the rank."""
-    return sv > RANK_TOL * max(1.0, sv[0] if len(sv) else 1.0)
+    """Mask of the descending singular values that count toward the rank.
+
+    ``sv`` is one vector or a (..., r) stack of them, each cut at its own
+    largest value.
+    """
+    return sv > RANK_TOL * np.maximum(1.0, sv[..., :1])
 
 
 def check_rank(sv, r):

@@ -411,6 +411,20 @@ def _stacks_of_every_shape():
             yield X, Z
 
 
+def test_significant_masks_each_stacked_row_on_its_own():
+    # One row is rank deficient, one has sigma_1 < 1, where the cut is
+    # absolute, and one has a large sigma_1 that raises the cut; the
+    # stacked mask is the per-row masks.
+    sv = np.array([[3.0, 2e-10, 1e-10], [0.5, 2e-10, 1e-11],
+                   [5e9, 0.4, 0.1]])
+    stacked = _significant(sv)
+    assert stacked.tolist() == [_significant(s).tolist() for s in sv]
+    assert stacked.tolist() == [[True, False, False], [True, True, False],
+                                [True, False, False]]
+    assert _significant(np.zeros(0)).shape == (0,)
+    assert _significant(np.zeros((2, 0))).shape == (2, 0)
+
+
 def test_stacks_match_single_pairs_bit_for_bit():
     def bits(report):
         return repr(report.to_dict())

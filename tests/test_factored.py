@@ -12,6 +12,7 @@ from ripgd.losses import (
     MatrixLoss,
     OneBitLoss,
     make_gaussian_operator,
+    make_onebit_loss,
 )
 from ripgd.factored import (
     g_grad,
@@ -195,6 +196,43 @@ def test_factor_shape_validation():
     rect = LinearLoss(make_gaussian_operator(3, 2, 4, seed=0), np.zeros(4))
     with pytest.raises(ValueError):
         g_grad(rect, np.zeros((3, 1)))
+
+
+def _declared_losses():
+    """One loss per kind of symmetry declaration, each on 6-by-6 matrices."""
+    rng = np.random.default_rng(23)
+    drawn = make_gaussian_operator(6, 6, 30, seed=3)
+    d = rng.standard_normal(30)
+    m_hat = rng.standard_normal((6, 6))
+    return {
+        "packed-linear": LinearLoss(drawn.symmetrized(), d),
+        "drawn-linear": LinearLoss(drawn, d),
+        "lifted": LiftedLoss(
+            LinearLoss(make_gaussian_operator(4, 2, 12, seed=4),
+                       rng.standard_normal(12)), 0.3),
+        "onebit-symmetric": make_onebit_loss(0.5 * (m_hat + m_hat.T)),
+        "onebit-general": make_onebit_loss(m_hat),
+    }
+
+
+@pytest.mark.parametrize("name", list(_declared_losses()))
+def test_symmetric_grad_declaration_keeps_the_bits(name):
+    loss = _declared_losses()[name]
+    assert loss.symmetric_grad == (
+        name in ("packed-linear", "lifted", "onebit-symmetric"))
+    rng = np.random.default_rng(24)
+    for r in (1, 3, 6):
+        X = rng.standard_normal((6, r))
+        N = X @ X.T
+        W = loss.grad(N)
+        # The declaration is exactly whether grad(X X^T) is bit-symmetric.
+        assert loss.symmetric_grad == (
+            W.tobytes() == np.ascontiguousarray(W.T).tobytes())
+        assert g_grad(loss, X).tobytes() == ((W + W.T) @ X).tobytes()
+        _, G, N_out = g_value_and_grad(loss, X)
+        W = loss.value_and_grad(N)[1]
+        assert G.tobytes() == ((W + W.T) @ X).tobytes()
+        assert N_out.tobytes() == N.tobytes()
 
 
 def test_lifted_loss_blocks():

@@ -127,6 +127,16 @@ def test_symmetrized_operator_is_the_symmetric_part_map():
         M = rng.standard_normal((n, n))
         lhs = packed.apply(M) @ v
         assert abs(lhs - np.sum(M * W)) < 1e-12 * max(1.0, abs(lhs))
+        # apply and adjoint call ndarray.dot; the `@` forms give the bits.
+        upper = (M + M.T).reshape(-1)[packed._upper]
+        assert packed.apply(M).tobytes() == (
+            (0.5 * op.scale) * (packed._packed @ upper)).tobytes()
+        w = (v @ packed._packed) * (op.scale * packed._half)
+        assert W.tobytes() == w[packed._unpack].reshape(n, n).tobytes()
+        assert op.apply(M).tobytes() == (
+            op.scale * (op._rows @ M.reshape(-1))).tobytes()
+        assert op.adjoint(v).tobytes() == (
+            op.scale * (v @ op._rows)).reshape(n, n).tobytes()
 
 
 def test_symmetrized_operator_batch_scale_and_symmetric_input():
