@@ -66,7 +66,7 @@ def mean_hessian(loss, X, m_star, quad_points=16):
         raise ValueError("need at least one quadrature node")
     X = np.asarray(X, dtype=float)
     m_star = np.asarray(m_star, dtype=float)
-    M0 = X @ X.T
+    M0 = X.dot(X.T)
     # Unit matrices in column-major order: basis[i] has a one at vec index i.
     basis = np.eye(n2).reshape(n2, loss.n, loss.n).transpose(0, 2, 1)
     # A constant Hessian is built once; the weighted sum over the nodes is
@@ -132,7 +132,7 @@ def verify_gradhessian(loss, X, m_star, delta):
     r = X.shape[1]
     H = mean_hessian(loss, X, m_star)
     Xop = x_operator(X)
-    e = vec(X @ X.T - m_star)
+    e = vec(X.dot(X.T) - m_star)
     he = H @ e
     lhs_grad = _norm(Xop.T @ he)
     rhs_grad = _norm(g_grad(loss, X))
@@ -249,7 +249,7 @@ def pl_dual_bound(X, Z, mu_prime, C_tilde, sigma_r):
     gap = _norm(X - Z)
     if gap > C_tilde:
         raise ValueError("||X - Z||_F exceeds C_tilde")
-    e = vec(X @ X.T - Z @ Z.T)
+    e = vec(X.dot(X.T) - Z.dot(Z.T))
     e_norm = _norm(e)
     if e_norm <= 1e-14:
         raise ValueError("X X^T equals Z Z^T; the dual objective is undefined")
@@ -365,7 +365,7 @@ def run_certificate_suites(seed=0, gradhessian=100, saddle=500, pl_dual=200,
         delta = (lam[-1] - lam[0]) / (lam[-1] + lam[0])
         op = op.with_scale(scale)
         z = rng.standard_normal((n, r))
-        m_star = z @ z.T
+        m_star = z.dot(z.T)
         loss = LinearLoss(op, op.apply(m_star))
         X = rng.standard_normal((n, r))
         rep = verify_gradhessian(loss, X, m_star, delta)

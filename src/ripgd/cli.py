@@ -271,9 +271,9 @@ def _operator_estimate(config, seeds):
 def _build_sym_linear(config, seeds):
     op, est = _operator_estimate(config, seeds)
     z = np.random.default_rng(seeds["truth"]).standard_normal((config.n, config.r))
-    m_star = z @ z.T
+    m_star = z.dot(z.T)
     x0 = np.random.default_rng(seeds["init"]).standard_normal((config.n, config.r))
-    bound_d = max(_norm(m_star), _norm(x0 @ x0.T))
+    bound_d = max(_norm(m_star), _norm(x0.dot(x0.T)))
     # rho1 is measured on the drawn operator, like the isometry estimate.
     rho1 = estimate_rho1(LinearLoss(op, op.apply(m_star)), config.r,
                          est.delta, seed=seeds["rho1"])
@@ -297,7 +297,7 @@ def _build_asym_linear(config, seeds):
     loss = LiftedLoss(base_loss, est.delta)
     _, _, m_tilde = balance_and_augment(m_star, config.r)
     x0 = np.random.default_rng(seeds["init"]).standard_normal((loss.n, config.r))
-    bound_d = max(_norm(m_tilde), _norm(x0 @ x0.T))
+    bound_d = max(_norm(m_tilde), _norm(x0.dot(x0.T)))
     rho1 = estimate_rho1(loss, config.r, loss.delta, seed=seeds["rho1"])
     problem = RecoveryProblem(loss, m_tilde, config.r, loss.delta, rho1, 0.0,
                               bound_d)
@@ -308,14 +308,14 @@ def _build_asym_linear(config, seeds):
 def _build_onebit(config, seeds):
     z = np.random.default_rng(seeds["truth"]).uniform(
         -1.0, 1.0, (config.n, config.r))
-    m_hat = z @ z.T
+    m_hat = z.dot(z.T)
     z = z * math.sqrt(ONEBIT_ENTRY_CAP / float(np.abs(m_hat).max()))
-    m_hat = z @ z.T
+    m_hat = z.dot(z.T)
     loss = make_onebit_loss(m_hat, scale=ONEBIT_SCALE)
     delta = 0.5
     rho1 = max(ONEBIT_SCALE / 4.0, 1.0 + 2.0 * delta)
     x0 = np.random.default_rng(seeds["init"]).standard_normal((config.n, config.r))
-    bound_d = max(_norm(m_hat), _norm(x0 @ x0.T))
+    bound_d = max(_norm(m_hat), _norm(x0.dot(x0.T)))
     problem = RecoveryProblem(loss, m_hat, config.r, delta, rho1,
                               onebit_rho2(ONEBIT_SCALE), bound_d)
     info = {"rip": None, "base_delta": delta, "phi": None}
@@ -410,7 +410,7 @@ def run_experiment(config):
         config.kind, config.n, config.r, config.seed)
     os.makedirs(out_dir, exist_ok=True)
     problem, x0, info, seeds = build_instance(config)
-    dist0 = _norm(x0 @ x0.T - problem.m_star)
+    dist0 = _norm(x0.dot(x0.T) - problem.m_star)
     params = None
     if config.solver == "pgd":
         kappa = config.kappa

@@ -35,17 +35,19 @@ def _factor_grad(loss, W, X):
 def g_grad(loss, X):
     """Gradient of X -> loss(X X^T), namely (W + W^T) X with W = grad loss."""
     X = _check_factor(loss, X)
-    return _factor_grad(loss, loss.grad(X @ X.T), X)
+    return _factor_grad(loss, loss.grad(X.dot(X.T)), X)
 
 
 def g_value_and_grad(loss, X):
     """Value, gradient and N = X X^T of X -> loss(X X^T).
 
     N is the matrix the loss was evaluated at; the solver reuses it for the
-    recovery error instead of forming X X^T a second time.
+    recovery error instead of forming X X^T a second time.  ``X.dot(X.T)``
+    gives the bits of ``X @ X.T``, bit-symmetric, but reaches BLAS where the
+    matmul ufunc does not (r = 1).
     """
     X = _check_factor(loss, X)
-    N = X @ X.T
+    N = X.dot(X.T)
     v, W = loss.value_and_grad(N)
     return v, _factor_grad(loss, W, X), N
 
@@ -57,14 +59,13 @@ def _basis_images(X):
     points at row a, column c.
     """
     n, r = X.shape
-    out = np.zeros((n * r, n, n))
-    for c in range(r):
-        col = X[:, c]
-        for a in range(n):
-            j = c * n + a
-            out[j, a, :] += col
-            out[j, :, a] += col
-    return out
+    out = np.zeros((r, n, n, n))
+    # Row a, then column a, of image (c, a) gets column c of X, through two
+    # diagonal views: the adds of a loop over (c, a), in its order and onto
+    # +0.0, so the same bits and signed zeros, and no second r n^3 array.
+    np.einsum("caab->cab", out)[...] += X.T[:, None, :]
+    np.einsum("caba->cab", out)[...] += X.T[:, None, :]
+    return out.reshape(n * r, n, n)
 
 
 def _block_diag(A, r):
@@ -82,7 +83,7 @@ def hess_matrix(loss, X):
     n, r = X.shape
     # The nr basis images of n^2 entries each, and the nr-square result.
     _check_dense(n * r * n * max(n, r))
-    M = X @ X.T
+    M = X.dot(X.T)
     W = loss.grad(M)
     G = loss.hess_gram(M, _basis_images(X)) + _block_diag(W + W.T, r)
     return 0.5 * (G + G.T)
@@ -141,8 +142,10 @@ class LiftedLoss(MatrixLoss):
         """Add the inner gradients at N12 and N21^T to the balancing part B."""
         k = self.split
         top, bottom = B[:k, k:], B[k:, :k]
-        top += 0.5 * g12
-        bottom += 0.5 * g21.T
+        half = 0.5 * g12
+        top += half
+        # (0.5 g)^T holds the bits of 0.5 g^T.
+        bottom += half.T if g21 is g12 else 0.5 * g21.T
         return B
 
     def value(self, M):
@@ -204,4 +207,4 @@ def balance_and_augment(m_star, r):
     u_star = P[:, :r] * root
     v_star = Qt[:r].T * root
     stack = np.vstack([u_star, v_star])
-    return u_star, v_star, stack @ stack.T
+    return u_star, v_star, stack.dot(stack.T)

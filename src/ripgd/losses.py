@@ -32,6 +32,22 @@ def _check_dense(entries):
                          % (entries, DENSE_LIMIT))
 
 
+def _aligned_empty(shape):
+    """Uninitialized float64 array in C order starting on a 64-byte boundary.
+
+    The sensing stacks are allocated here.  OpenBLAS's GEMV gives the same
+    bits at any alignment, but on a stack that starts 16 bytes past a cache
+    line it takes 1.3 to 1.6 times as long (120 x 820 packed fig1a stack,
+    2-vCPU AVX-512 Xeon, one thread), and where the heap puts a fresh array
+    depends on everything allocated before it, so the speed of a solve
+    would vary from process to process.
+    """
+    size = math.prod(shape)
+    buf = np.empty(size + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start:start + size].reshape(shape)
+
+
 def _norm(a):
     """Frobenius norm, bit-equal to ``np.linalg.norm(a)`` for real ``a``.
 
@@ -65,9 +81,11 @@ class LinearOperator:
         # They call ndarray.dot, which reaches the same BLAS routine as `@`
         # without the matmul ufunc's dispatch, so the bits are the same.
         self._rows = matrices.reshape(matrices.shape[0], -1)
-        # A symmetrized operator's packed (p, n(n+1)/2) stack and the indices
-        # that gather its input and scatter its adjoint; see symmetrized.
-        self._packed = self._upper = self._half = self._unpack = None
+        # A symmetrized operator's packed (p, n(n+1)/2) stack, the indices
+        # that gather its input and scatter its adjoint, and the adjoint's
+        # weights; see symmetrized.
+        self._packed = self._upper = self._lower = None
+        self._half = self._weights = self._unpack = None
 
     @property
     def p(self):
@@ -95,9 +113,13 @@ class LinearOperator:
         if self._packed is None:
             return self.scale * self._rows.dot(M.reshape(-1))
         # <S_i, M> is the sum over j <= k of column (j, k) times
-        # (M_jk + M_kj) / 2; the 1/2 is folded into the scale.
-        upper = (M + M.T).reshape(-1)[self._upper]
-        return (0.5 * self.scale) * self._packed.dot(upper)
+        # (M_jk + M_kj) / 2; the 1/2 is folded into the scale.  Gathering
+        # each triangle and adding adds the same two operands as the upper
+        # triangle of M + M^T, so the bits are those of that form for every
+        # M, without adding a C-ordered matrix to its F-ordered transpose.
+        flat = M.reshape(-1)
+        pairs = flat.take(self._upper) + flat.take(self._lower)
+        return (0.5 * self.scale) * self._packed.dot(pairs)
 
     def apply_batch(self, Ms):
         """Apply the operator to a stack of matrices, (k, n, m) -> (k, p)."""
@@ -120,16 +142,19 @@ class LinearOperator:
         if self._packed is None:
             return self.scale * v.dot(self._rows).reshape(self.n, self.m)
         # sum_i v_i S_i: its upper triangle is the packed product, halved
-        # off the diagonal, and both triangles read the same entries.
+        # off the diagonal, and both triangles read the same entries.  The
+        # weights scale * half are formed once, by symmetrized or with_scale.
         w = v.dot(self._packed)
-        w *= self.scale * self._half
+        w *= self._weights
         return w[self._unpack].reshape(self.n, self.n)
 
     def with_scale(self, scale):
         """Copy of this operator with the scale replaced; arrays are shared."""
         out = LinearOperator(self.matrices, scale=scale)
-        out._packed, out._upper, out._half, out._unpack = (
-            self._packed, self._upper, self._half, self._unpack)
+        out._packed, out._upper, out._lower, out._half, out._unpack = (
+            self._packed, self._upper, self._lower, self._half, self._unpack)
+        if out._half is not None:
+            out._weights = out.scale * out._half
         return out
 
     def symmetrized(self):
@@ -149,15 +174,18 @@ class LinearOperator:
         diag = j == k
         out = LinearOperator(self.matrices, scale=self.scale)
         out._upper = j * n + k
+        out._lower = k * n + j
         A = self.matrices
         # One sum over the stack, then one gather of its columns, is several
         # times faster than gathering both triangles, and keeps the stack in
         # C order: the GEMV kernel, and so the bits, depend on the order.
         # A_jj + A_jj halved is A_jj exactly.
-        out._packed = (A + A.transpose(0, 2, 1)).reshape(self.p, -1).take(
-            out._upper, axis=1)
+        out._packed = np.take((A + A.transpose(0, 2, 1)).reshape(self.p, -1),
+                              out._upper, axis=1,
+                              out=_aligned_empty((self.p, len(j))))
         out._packed[:, diag] *= 0.5
         out._half = np.where(diag, 1.0, 0.5)
+        out._weights = out.scale * out._half
         unpack = np.empty((n, n), dtype=np.intp)
         unpack[j, k] = unpack[k, j] = np.arange(len(j))
         out._unpack = unpack.reshape(-1)
@@ -170,7 +198,8 @@ def make_gaussian_operator(n, m, p, seed):
         raise ValueError("n, m, p must be positive")
     _check_dense(p * n * m)
     rng = np.random.default_rng(seed)
-    return LinearOperator(rng.standard_normal((p, n, m)), scale=1.0)
+    return LinearOperator(
+        rng.standard_normal(out=_aligned_empty((p, n, m))), scale=1.0)
 
 
 class MatrixLoss:
@@ -349,7 +378,7 @@ def estimate_rho1(loss, r, delta, *, seed=0):
     for _ in range(RHO1_SAMPLES):
         a = rng.standard_normal((loss.n, r))
         b = rng.standard_normal((loss.n, r))
-        ma, mb = a @ a.T, b @ b.T
+        ma, mb = a.dot(a.T), b.dot(b.T)
         gap = _norm(ma - mb)
         if gap < 1e-12:
             continue

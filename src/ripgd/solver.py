@@ -274,7 +274,7 @@ def perturbed_gd(problem, x0, params, eps_target, max_iters=100000, seed=0):
     if eps_target <= 0:
         raise ValueError("eps_target must be positive")
     X = np.array(x0, dtype=float)
-    if _norm(X @ X.T) > problem.bound_d * (1 + 1e-12):
+    if _norm(X.dot(X.T)) > problem.bound_d * (1 + 1e-12):
         raise ValueError("initial point violates the norm bound")
     return _descend(problem, X, params.eta, max_iters, eps_target,
                     params=params, seed=seed)

@@ -93,8 +93,10 @@ def test_config_validation():
         ExperimentConfig(**{**good, "eta": 0.1})
     with pytest.raises(ValueError, match="r must lie"):
         ExperimentConfig(**{**good, "r": 9})
-    with pytest.raises(ValueError, match="gamma"):
-        ExperimentConfig(**{**good, "gamma": 0.0})
+    for bad in (0.0, 1.5):
+        with pytest.raises(ValueError, match="gamma"):
+            ExperimentConfig(**{**good, "gamma": bad})
+    ExperimentConfig(**{**good, "gamma": 1.0})
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(**{**good, "seed": -1})
     with pytest.raises(ValueError, match="solver"):

@@ -21,6 +21,7 @@ from ripgd.factored import (
     hess_matrix,
     LiftedLoss,
     balance_and_augment,
+    _basis_images,
     _block_diag,
 )
 
@@ -187,6 +188,42 @@ def test_block_diag_same_bits_as_kron():
             got = _block_diag(B, r)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 10, 40, 100])
+def test_gram_dot_same_bits_as_matmul(n):
+    # The package forms X X^T as X.dot(X.T), which reaches BLAS at r = 1
+    # where `@` does not; it must keep the bits of `@` and be bit-symmetric.
+    rng = np.random.default_rng(n)
+    for r in range(1, 7):
+        for _ in range(5):
+            X = rng.standard_normal((n, r))
+            N = X.dot(X.T)
+            assert N.tobytes() == (X @ X.T).tobytes()
+            assert N.tobytes() == np.ascontiguousarray(N.T).tobytes()
+
+
+def basis_images_loop(X):
+    """Reference for _basis_images: X e_j^T + e_j X^T added in place."""
+    n, r = X.shape
+    out = np.zeros((n * r, n, n))
+    for c in range(r):
+        for a in range(n):
+            out[c * n + a, a, :] += X[:, c]
+            out[c * n + a, :, a] += X[:, c]
+    return out
+
+
+def test_basis_images_same_bits_as_loop():
+    # -0.0 entries must come out as the loop's +0.0 off the diagonal.
+    rng = np.random.default_rng(31)
+    signed = np.array([[1.5, -0.0], [-0.0, -2.0], [0.25, -1e-300]])
+    for X in [signed] + [rng.standard_normal((n, r))
+                         for n in (1, 2, 4, 6, 40) for r in (1, 2, 3, 6)]:
+        got = _basis_images(X)
+        want = basis_images_loop(X)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_factor_shape_validation():

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import expit
 
 from ripgd.losses import (
+    DENSE_LIMIT,
     LinearOperator,
     LinearLoss,
     OneBitLoss,
@@ -13,6 +14,7 @@ from ripgd.losses import (
     make_onebit_loss,
     onebit_rho2,
     estimate_rho1,
+    _check_dense,
 )
 
 
@@ -166,6 +168,43 @@ def test_symmetrized_operator_batch_scale_and_symmetric_input():
         make_gaussian_operator(3, 4, 5, seed=0).symmetrized()
 
 
+def test_packed_apply_same_bits_as_symmetric_sum():
+    # apply gathers both triangles and adds them; that adds the operands of
+    # the upper triangle of M + M^T, so the bits match on every M.
+    rng = np.random.default_rng(7)
+    for n, p in ((1, 3), (4, 9), (40, 120)):
+        packed = make_gaussian_operator(n, n, p, seed=n).with_scale(
+            0.37).symmetrized()
+        z = rng.standard_normal((n, 3))
+        for M in (rng.standard_normal((n, n)), z @ z.T,
+                  np.asfortranarray(rng.standard_normal((n, n)))):
+            upper = (M + M.T).reshape(-1)[packed._upper]
+            want = (0.5 * packed.scale) * packed._packed.dot(upper)
+            assert packed.apply(M).tobytes() == want.tobytes()
+
+
+def test_packed_with_scale_adjoint_same_bits_as_fresh_operator():
+    # with_scale must rebuild the adjoint's weights for its own scale.
+    rng = np.random.default_rng(8)
+    for n, p in ((1, 3), (4, 9), (40, 120)):
+        op = make_gaussian_operator(n, n, p, seed=n)
+        packed = op.with_scale(0.37).symmetrized()
+        for s in (2.0, 0.37, 1e-3):
+            scaled = packed.with_scale(s)
+            fresh = op.with_scale(s).symmetrized()
+            assert scaled._lower is packed._lower
+            v = rng.standard_normal(p)
+            assert scaled.adjoint(v).tobytes() == fresh.adjoint(v).tobytes()
+            M = rng.standard_normal((n, n))
+            assert scaled.apply(M).tobytes() == fresh.apply(M).tobytes()
+
+
+def test_check_dense_boundary():
+    _check_dense(DENSE_LIMIT)
+    with pytest.raises(ValueError, match="dense limit"):
+        _check_dense(DENSE_LIMIT + 1)
+
+
 def test_operator_validation():
     with pytest.raises(ValueError):
         LinearOperator(np.zeros((2, 2)))
@@ -187,6 +226,36 @@ def test_gaussian_operator_deterministic():
     b = make_gaussian_operator(3, 4, 5, seed=9)
     np.testing.assert_array_equal(a.matrices, b.matrices)
     assert a.scale == 1.0
+
+
+def address(a):
+    return a.__array_interface__["data"][0]
+
+
+def test_sensing_stacks_are_cache_line_aligned_and_keep_the_bits():
+    # The drawn and the packed stack start on a 64-byte boundary; the draw
+    # is the plain standard-normal stream, and the products give the same
+    # bits on a stack placed 16 bytes off that boundary.
+    rng = np.random.default_rng(12)
+    for n, p in ((1, 3), (4, 9), (40, 120)):
+        op = make_gaussian_operator(n, n, p, seed=n)
+        assert op.matrices.tobytes() == np.random.default_rng(
+            n).standard_normal((p, n, n)).tobytes()
+        packed = op.with_scale(0.37).symmetrized()
+        assert address(op.matrices) % 64 == 0
+        assert address(packed._packed) % 64 == 0
+        assert packed._packed.flags.c_contiguous
+        buf = np.empty(packed._packed.size + 8)
+        start = ((-address(buf) + 16) % 64) // 8
+        off = buf[start:start + packed._packed.size].reshape(
+            packed._packed.shape)
+        off[...] = packed._packed
+        assert address(off) % 64 == 16
+        shifted = packed.with_scale(0.37)
+        shifted._packed = off
+        M, v = rng.standard_normal((n, n)), rng.standard_normal(p)
+        assert shifted.apply(M).tobytes() == packed.apply(M).tobytes()
+        assert shifted.adjoint(v).tobytes() == packed.adjoint(v).tobytes()
 
 
 def test_gaussian_operator_refused_before_drawing(refused_before_allocation):

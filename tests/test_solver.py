@@ -203,6 +203,39 @@ def test_descent_violation_skips_perturbations_and_phase_switches(saddle_run):
         assert descent_violation(run, eta) == descent_violation_loop(run, eta)
 
 
+def hand_trace(f, dist, phase):
+    k = len(f)
+    return Trace(t=np.arange(k), f=np.array(f), grad_norm=np.zeros(k),
+                 dist=np.array(dist), in_region=np.zeros(k, dtype=bool),
+                 perturbed=np.zeros(k, dtype=bool), phase=np.array(phase),
+                 eta=1.0)
+
+
+def test_level_set_violation_known_excess():
+    # delta = 0 makes the bound dist[0] = 2.  Rows 0 and 1 have f == f[0],
+    # row 2 lies below it and row 3 above; the worst counted row is row 1,
+    # 3/2 - 1 = 0.5 (row 2 alone would give 0.25, row 3 would give 3.5).
+    problem = scalar_problem(1.0, 0.0, 1.0)
+    trace = hand_trace([1.0, 1.0, 0.5, 2.0], [2.0, 3.0, 2.5, 9.0], [1] * 4)
+    assert level_set_violation(trace, problem) == 0.5
+    # Row 0 always counts, at dist[0] / bound - 1 = 0 when delta = 0.
+    trace = hand_trace([1.0, 0.5], [2.0, 1.0], [1, 1])
+    assert level_set_violation(trace, problem) == 0.0
+
+
+def test_confinement_violation_known_excess():
+    # R = 3 D (1 + delta)/(1 - delta) = 3; the phase-1 rows reach 3.5 and
+    # the phase-2 row, which does not count, reaches 10.
+    problem = scalar_problem(1.0, 0.0, 1.0)
+    params = pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1)
+    assert params.radius_r == 3.0
+    trace = hand_trace([1.0] * 4, [1.0, 3.5, 2.0, 10.0], [1, 1, 1, 2])
+    assert confinement_violation(trace, params) == 0.5
+    trace = hand_trace([1.0] * 2, [1.0, 2.0], [1, 1])
+    assert confinement_violation(trace, params) == -1.0
+    assert confinement_violation(hand_trace([1.0], [9.0], [2]), params) == -np.inf
+
+
 def test_perturbed_gd_deterministic():
     problem = scalar_problem(1.0, 0.0, 1.0)
     params = pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1)
