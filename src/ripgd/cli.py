@@ -20,14 +20,14 @@ Experiments are described by a small key-value config file::
     rip_samples = 10000        # draws for the isometry estimate
     out = runs/example         # output directory
 
-``run`` writes trace.csv (the per-iteration record), summary.json (instance
-constants, radii, solver parameters, results, and a hash of the resolved
-config) and marker.json (region-entry and phase-switch indices).  Reruns of
-the same config are byte-identical; no timestamps are recorded.
+``run`` writes trace.csv (the per-iteration record; plot its t, dist and
+grad_norm columns) and summary.json (instance constants, radii, solver
+parameters, a hash of the resolved config, and results, among them the
+region-entry and phase-switch indices).  Reruns of the same config are
+byte-identical; no timestamps are recorded.
 
-``rip-estimate`` calibrates the measurement operator of a linear config,
-``certify`` runs the randomized certificate suites, and ``plot-data``
-expands a trace into two-column series files for plotting.
+``rip-estimate`` calibrates the measurement operator of a linear config, and
+``certify`` runs the randomized certificate suites.
 """
 
 import argparse
@@ -272,8 +272,6 @@ def _build_sym_linear(config, seeds):
     op, est = _operator_estimate(config, seeds)
     z = np.random.default_rng(seeds["truth"]).standard_normal((config.n, config.r))
     m_star = z.dot(z.T)
-    x0 = np.random.default_rng(seeds["init"]).standard_normal((config.n, config.r))
-    bound_d = max(_norm(m_star), _norm(x0.dot(x0.T)))
     # rho1 is measured on the drawn operator, like the isometry estimate.
     rho1 = estimate_rho1(LinearLoss(op, op.apply(m_star)), config.r,
                          est.delta, seed=seeds["rho1"])
@@ -281,10 +279,7 @@ def _build_sym_linear(config, seeds):
     # packed symmetrized operator is the same map on half the stack.
     packed = op.symmetrized()
     loss = LinearLoss(packed, packed.apply(m_star))
-    problem = RecoveryProblem(loss, m_star, config.r, est.delta, rho1, 0.0,
-                              bound_d)
-    info = {"rip": est.to_dict(), "base_delta": est.delta, "phi": None}
-    return problem, x0, info
+    return loss, m_star, est.delta, rho1, 0.0, est
 
 
 def _build_asym_linear(config, seeds):
@@ -293,16 +288,10 @@ def _build_asym_linear(config, seeds):
     u = rng.standard_normal((config.n, config.r))
     v = rng.standard_normal((config.m, config.r))
     m_star = u @ v.T
-    base_loss = LinearLoss(op, op.apply(m_star))
-    loss = LiftedLoss(base_loss, est.delta)
+    loss = LiftedLoss(LinearLoss(op, op.apply(m_star)), est.delta)
     _, _, m_tilde = balance_and_augment(m_star, config.r)
-    x0 = np.random.default_rng(seeds["init"]).standard_normal((loss.n, config.r))
-    bound_d = max(_norm(m_tilde), _norm(x0.dot(x0.T)))
     rho1 = estimate_rho1(loss, config.r, loss.delta, seed=seeds["rho1"])
-    problem = RecoveryProblem(loss, m_tilde, config.r, loss.delta, rho1, 0.0,
-                              bound_d)
-    info = {"rip": est.to_dict(), "base_delta": est.delta, "phi": loss.phi}
-    return problem, x0, info
+    return loss, m_tilde, loss.delta, rho1, 0.0, est
 
 
 def _build_onebit(config, seeds):
@@ -314,14 +303,11 @@ def _build_onebit(config, seeds):
     loss = make_onebit_loss(m_hat, scale=ONEBIT_SCALE)
     delta = 0.5
     rho1 = max(ONEBIT_SCALE / 4.0, 1.0 + 2.0 * delta)
-    x0 = np.random.default_rng(seeds["init"]).standard_normal((config.n, config.r))
-    bound_d = max(_norm(m_hat), _norm(x0.dot(x0.T)))
-    problem = RecoveryProblem(loss, m_hat, config.r, delta, rho1,
-                              onebit_rho2(ONEBIT_SCALE), bound_d)
-    info = {"rip": None, "base_delta": delta, "phi": None}
-    return problem, x0, info
+    return loss, m_hat, delta, rho1, onebit_rho2(ONEBIT_SCALE), None
 
 
+# Each builder returns (loss, truth, delta, rho1, rho2, est): truth is the
+# matrix the factor recovers (lifted for asym-linear), est the RipEstimate.
 _BUILDERS = {
     "sym-linear": _build_sym_linear,
     "asym-linear": _build_asym_linear,
@@ -330,10 +316,18 @@ _BUILDERS = {
 
 
 def build_instance(config):
-    """Instantiate a config: returns (problem, x0, info, seeds)."""
+    """Instantiate a config: returns (problem, x0, est, seeds).
+
+    ``est`` is the operator's RipEstimate, None for onebit.  Every kind
+    starts from a normal x0 and bounds D = max(||M*||_F, ||x0 x0^T||_F).
+    """
     seeds = derived_seeds(config.seed)
-    problem, x0, info = _BUILDERS[config.kind](config, seeds)
-    return problem, x0, info, seeds
+    loss, truth, delta, rho1, rho2, est = _BUILDERS[config.kind](config, seeds)
+    x0 = np.random.default_rng(seeds["init"]).standard_normal(
+        (truth.shape[0], config.r))
+    bound_d = max(_norm(truth), _norm(x0.dot(x0.T)))
+    problem = RecoveryProblem(loss, truth, config.r, delta, rho1, rho2, bound_d)
+    return problem, x0, est, seeds
 
 
 def default_kappa(problem, c, gamma):
@@ -374,32 +368,6 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _marker_dict(trace):
-    return {
-        "first_in_region": trace.first_in_region,
-        "phase2_start": trace.phase2_start,
-    }
-
-
-def emit_plot_data(trace, out_dir):
-    """Write (t, dist) and (t, grad_norm) series plus the marker file."""
-    if len(trace) == 0:
-        raise ValueError("empty trace")
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for name, col in (("dist", trace.dist), ("grad_norm", trace.grad_norm)):
-        path = os.path.join(out_dir, name + ".csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,%s\n" % name)
-            for t, v in zip(trace.t, col):
-                fh.write("%d,%.17g\n" % (t, v))
-        paths.append(path)
-    marker_path = os.path.join(out_dir, "marker.json")
-    _write_json(marker_path, _marker_dict(trace))
-    paths.append(marker_path)
-    return paths
-
-
 def run_experiment(config):
     """Build the instance, run the configured solver, write the artifacts.
 
@@ -409,7 +377,7 @@ def run_experiment(config):
     out_dir = config.out or "runs/%s-n%d-r%d-seed%d" % (
         config.kind, config.n, config.r, config.seed)
     os.makedirs(out_dir, exist_ok=True)
-    problem, x0, info, seeds = build_instance(config)
+    problem, x0, est, seeds = build_instance(config)
     dist0 = _norm(x0.dot(x0.T) - problem.m_star)
     params = None
     if config.solver == "pgd":
@@ -430,7 +398,6 @@ def run_experiment(config):
                                         max_iters=config.max_iters,
                                         tol=config.grad_tol,
                                         eps_target=config.eps_target)
-    sigma_1 = float(np.linalg.svd(problem.m_star, compute_uv=False)[0])
     summary = {
         "config": config.to_dict(),
         "config_sha256": config_hash(config),
@@ -439,11 +406,12 @@ def run_experiment(config):
             "factor_rows": problem.n,
             "r": config.r,
             "delta": float(problem.delta),
-            "base_delta": float(info["base_delta"]),
-            "phi": None if info["phi"] is None else float(info["phi"]),
-            "rip": info["rip"],
+            "base_delta": float(problem.delta if est is None else est.delta),
+            "phi": (float(problem.loss.phi)
+                    if isinstance(problem.loss, LiftedLoss) else None),
+            "rip": None if est is None else est.to_dict(),
             "sigma_r": float(problem.sigma_r),
-            "sigma_1": sigma_1,
+            "sigma_1": problem.sigma_1,
             "m_star_norm": float(problem.m_star_norm),
             "bound_d": float(problem.bound_d),
             "rho1": float(problem.rho1),
@@ -457,7 +425,7 @@ def run_experiment(config):
                                                  problem.sigma_r)),
             "prior": {k: float(v) for k, v in
                       rip.prior_radii(problem.delta, problem.sigma_r,
-                                      sigma_1).items()},
+                                      problem.sigma_1).items()},
         },
         "solver": {
             "name": config.solver,
@@ -480,7 +448,6 @@ def run_experiment(config):
     }
     trace.to_csv(os.path.join(out_dir, "trace.csv"))
     _write_json(os.path.join(out_dir, "summary.json"), summary)
-    _write_json(os.path.join(out_dir, "marker.json"), _marker_dict(trace))
     return trace, summary, out_dir
 
 
@@ -489,19 +456,27 @@ def _usage_error(args, message):
     args.parser.exit(2, "%s: error: %s\n" % (args.parser.prog, message))
 
 
-def _read_input(args, read, *read_args):
-    """Call read(*read_args), reporting a bad file or value as a usage error.
+def _load_config(args, overrides):
+    """Load args.config with overrides; a bad file or value is a usage error.
 
     Errors raised later, while solving, still propagate as they are.
     """
     try:
-        return read(*read_args)
+        return load_config(args.config, overrides)
     except (OSError, ValueError) as exc:
         _usage_error(args, exc)
 
 
+def _print_json(args, payload):
+    """Write payload to --out when given, then print it."""
+    if args.out:
+        _write_json(args.out, payload)
+        print("wrote %s" % args.out)
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _cmd_run(args):
-    config = _read_input(args, load_config, args.config, {
+    config = _load_config(args, {
         "seed": args.seed, "out": args.out, "eps_target": args.eps})
     trace, summary, out_dir = run_experiment(config)
     res = summary["result"]
@@ -517,17 +492,11 @@ def _cmd_run(args):
 
 
 def _cmd_rip_estimate(args):
-    config = _read_input(args, load_config, args.config, {"seed": args.seed})
+    config = _load_config(args, {"seed": args.seed})
     if config.kind == "onebit":
         _usage_error(args, "rip-estimate needs a linear kind, got onebit")
-    seeds = derived_seeds(config.seed)
-    _, est = _operator_estimate(config, seeds)
-    payload = est.to_dict()
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        _write_json(args.out, payload)
-        print("wrote %s" % args.out)
-    print(text)
+    _, est = _operator_estimate(config, derived_seeds(config.seed))
+    _print_json(args, est.to_dict())
     return 0
 
 
@@ -538,19 +507,9 @@ def _cmd_certify(args):
     report = certify.run_certificate_suites(
         seed=args.seed, gradhessian=args.gradhessian, saddle=args.saddle,
         pl_dual=args.pl_dual, normcompare=args.normcompare)
-    if args.out:
-        _write_json(args.out, report)
-        print("wrote %s" % args.out)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _print_json(args, report)
     failures = sum(suite.get("failures", 0) for suite in report.values())
     return 0 if failures == 0 else 1
-
-
-def _cmd_plot_data(args):
-    trace = _read_input(args, solver.Trace.from_csv, args.trace)
-    for path in emit_plot_data(trace, args.out):
-        print("wrote %s" % path)
-    return 0
 
 
 def main(argv=None):
@@ -583,12 +542,6 @@ def main(argv=None):
     p_cert.add_argument("--normcompare", type=int, default=1000)
     p_cert.add_argument("--out", help="also write the report to this file")
     p_cert.set_defaults(func=_cmd_certify, parser=p_cert)
-
-    p_plot = sub.add_parser("plot-data",
-                            help="expand a trace into plot series files")
-    p_plot.add_argument("trace", help="path to a trace.csv")
-    p_plot.add_argument("--out", default=".", help="output directory")
-    p_plot.set_defaults(func=_cmd_plot_data, parser=p_plot)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -419,6 +419,7 @@ class RecoveryProblem:
         self.rho1 = float(rho1)
         self.rho2 = float(rho2)
         self.bound_d = float(bound_d)
+        self.sigma_1 = float(sv[0])
         self.sigma_r = float(sv[r - 1])
         self.m_star_norm = float(norm)
 

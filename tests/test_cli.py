@@ -8,7 +8,7 @@ import pytest
 from ripgd import rip
 from ripgd.losses import LinearOperator, LinearLoss, RecoveryProblem, onebit_rho2
 from ripgd.rip import local_region_sym
-from ripgd.solver import TRACE_HEADER, Trace, pgd_params, gradient_descent
+from ripgd.solver import Trace, pgd_params
 from ripgd.cli import (
     ExperimentConfig,
     config_hash,
@@ -18,7 +18,6 @@ from ripgd.cli import (
     derived_seeds,
     default_kappa,
     build_instance,
-    emit_plot_data,
     run_experiment,
     main,
 )
@@ -183,35 +182,10 @@ def test_default_kappa_hits_threshold_target():
     assert got == pytest.approx(target, rel=1e-6)
 
 
-def test_emit_plot_data(tmp_path):
-    problem = scalar_problem()
-    trace = gradient_descent(problem, np.full((1, 1), 0.2), eta=0.1,
-                             max_iters=50, tol=1e-12)
-    paths = emit_plot_data(trace, tmp_path / "plot")
-    texts = {str(p): Path(p).read_text() for p in paths}
-    dist_lines = texts[str(tmp_path / "plot" / "dist.csv")].splitlines()
-    assert dist_lines[0] == "t,dist"
-    got = np.array([float(l.split(",")[1]) for l in dist_lines[1:]])
-    assert np.array_equal(got, trace.dist)
-    gn_lines = texts[str(tmp_path / "plot" / "grad_norm.csv")].splitlines()
-    assert gn_lines[0] == "t,grad_norm"
-    got = np.array([float(l.split(",")[1]) for l in gn_lines[1:]])
-    assert np.array_equal(got, trace.grad_norm)
-    marker = json.loads(texts[str(tmp_path / "plot" / "marker.json")])
-    assert marker == {"first_in_region": trace.first_in_region,
-                      "phase2_start": trace.phase2_start}
-    empty = Trace(t=np.array([], dtype=int), f=np.array([]),
-                  grad_norm=np.array([]), dist=np.array([]),
-                  in_region=np.array([], dtype=bool),
-                  perturbed=np.array([], dtype=bool),
-                  phase=np.array([], dtype=int))
-    with pytest.raises(ValueError, match="empty"):
-        emit_plot_data(empty, tmp_path / "plot2")
-
-
 def test_build_instance_onebit_truth_capped():
     cfg = ExperimentConfig(kind="onebit", n=6, r=2, seed=2)
-    problem, x0, info, seeds = build_instance(cfg)
+    problem, x0, est, seeds = build_instance(cfg)
+    assert est is None
     entries = np.abs(problem.m_star)
     assert entries.max() == pytest.approx(2.29, rel=1e-12)
     assert problem.delta == 0.5
@@ -227,8 +201,8 @@ def test_build_instance_same_with_one_and_two_workers(monkeypatch, name):
     built = []
     for workers in (1, 2):
         monkeypatch.setattr(rip, "_workers", lambda chunks: workers)
-        problem, _, info, _ = build_instance(config)
-        built.append((info["rip"], problem.rho1,
+        problem, _, est, _ = build_instance(config)
+        built.append((est, problem.rho1,
                       default_kappa(problem, config.c, config.gamma)))
     assert built[0] == built[1]
 
@@ -241,7 +215,10 @@ def test_run_experiment_pgd_deterministic(tmp_path):
         cfg = ExperimentConfig(out=str(tmp_path / name), **base)
         trace, summary, out_dir = run_experiment(cfg)
         outs.append(out_dir)
-    for fname in ("trace.csv", "summary.json", "marker.json"):
+    for out_dir in outs:
+        assert {p.name for p in Path(out_dir).iterdir()} == {"trace.csv",
+                                                              "summary.json"}
+    for fname in ("trace.csv", "summary.json"):
         with open(f"{outs[0]}/{fname}", "rb") as fh:
             first = fh.read()
         with open(f"{outs[1]}/{fname}", "rb") as fh:
@@ -293,7 +270,7 @@ def test_run_experiment_asym(tmp_path):
     assert summary["result"]["final_dist"] <= 1e-2
 
 
-def test_main_run_and_plot_data(tmp_path, capsys):
+def test_main_run_writes_trace_and_summary(tmp_path, capsys):
     cfg_path = tmp_path / "onebit.conf"
     cfg_path.write_text("kind = onebit\nn = 6\nr = 2\nseed = 2\n"
                         "eps_target = 1e-3\n")
@@ -301,14 +278,13 @@ def test_main_run_and_plot_data(tmp_path, capsys):
     assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
     captured = capsys.readouterr().out
     assert "summary.json" in captured and "stop=eps_target" in captured
-    for fname in ("trace.csv", "summary.json", "marker.json"):
-        assert (out_dir / fname).is_file()
-
-    plot_dir = tmp_path / "plot"
-    assert main(["plot-data", str(out_dir / "trace.csv"),
-                 "--out", str(plot_dir)]) == 0
-    for fname in ("dist.csv", "grad_norm.csv", "marker.json"):
-        assert (plot_dir / fname).is_file()
+    assert {p.name for p in out_dir.iterdir()} == {"trace.csv", "summary.json"}
+    # The plot series are trace.csv's columns, the markers summary.json's.
+    trace = Trace.from_csv(out_dir / "trace.csv")
+    with open(out_dir / "summary.json") as fh:
+        result = json.load(fh)["result"]
+    assert result["first_in_region"] == trace.first_in_region
+    assert result["phase2_start"] == trace.phase2_start
 
 
 def test_main_run_eps_override(tmp_path):
@@ -356,16 +332,11 @@ def test_main_reports_bad_input_as_usage_error(tmp_path, capsys):
     bad.write_text("kind = onebit\nn = 4\nr = 1\nc = 1%s\n" % ("0" * 400))
     assert usage_error(capsys, ["run", str(bad)]) == (
         "ripgd run: error: config key 'c' must be finite, got inf\n")
-    trace = tmp_path / "trace.csv"
-    trace.write_text("a,b\n1,2\n")
-    err = usage_error(capsys, ["plot-data", str(trace), "--out",
-                               str(tmp_path / "plot")])
-    assert err.startswith("ripgd plot-data: error: unrecognized trace header")
-    trace.write_text(TRACE_HEADER + "\n0,1.0,2.0\n")
-    assert usage_error(capsys, ["plot-data", str(trace)]) == (
-        "ripgd plot-data: error: trace line 2 has 3 fields, expected 7\n")
-    assert "No such file" in usage_error(
-        capsys, ["plot-data", str(tmp_path / "none.csv")])
+    # There is no plot-data command: plot from trace.csv's columns.
+    with pytest.raises(SystemExit) as exc:
+        main(["plot-data", str(tmp_path / "trace.csv")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'plot-data'" in capsys.readouterr().err
     assert usage_error(capsys, ["certify", "--seed", "-1"]) == (
         "ripgd certify: error: --seed must be nonnegative\n")
     # The first negative count is reported, before any sweep runs.

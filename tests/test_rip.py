@@ -319,3 +319,20 @@ def test_estimate_memory_stays_in_budget(monkeypatch, workers):
         tracemalloc.stop()
     assert 1 <= max(op.batches) < 256 and sum(op.batches) == 60
     assert peak < rip._INFLIGHT_BYTES + 2 ** 20
+
+
+def test_estimate_caps_workers_by_memory(monkeypatch):
+    # At n = m = 300 one chunk fills more than half the in-flight budget,
+    # so a second thread would exceed it: the estimate runs on one even
+    # when two cores are free.
+    force_workers(monkeypatch, 2)
+    seen = []
+    call = rip._call_on_threads
+
+    def recording(work, workers):
+        seen.append(workers)
+        return call(work, workers)
+
+    monkeypatch.setattr(rip, "_call_on_threads", recording)
+    estimate_rip(recording_operator(300, 300, 2), 1, samples=1, seed=0)
+    assert seen == [1]
