@@ -150,13 +150,13 @@ def verify_gradhessian(loss, X, m_star, delta):
 
 
 def _stack(X, Z):
-    """X and Z as (k, n, r) float stacks, and whether they came as one pair."""
+    """X and Z as (k, n, r) float stacks of the same shape."""
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    if X.shape != Z.shape or X.ndim not in (2, 3):
-        raise ValueError("X and Z must share one (n, r) or (k, n, r) shape; "
+    if X.shape != Z.shape or X.ndim != 3:
+        raise ValueError("X and Z must share one (k, n, r) shape; "
                          "got %s and %s" % (X.shape, Z.shape))
-    return (X[None], Z[None], True) if X.ndim == 2 else (X, Z, False)
+    return X, Z
 
 
 def _t(A):
@@ -171,20 +171,18 @@ def _norms(A):
 
 
 def align(X, Z):
-    """Rotate Z so that X^T Z becomes symmetric positive semidefinite.
+    """Rotate each Z so that X^T Z becomes symmetric positive semidefinite.
 
-    X and Z are one (n, r) pair or (k, n, r) stacks of k pairs; the result
-    has the same shape.
+    X and Z are (k, n, r) stacks of k pairs; returns the stack of rotated Z.
     """
-    X, Z, single = _stack(X, Z)
+    X, Z = _stack(X, Z)
     P, _, Qt = np.linalg.svd(_t(X) @ Z)
-    Z = Z @ (_t(Qt) @ _t(P))
-    return Z[0] if single else Z
+    return Z @ (_t(Qt) @ _t(P))
 
 
 def _require_aligned(X, Z):
-    """Raise unless X^T Z is symmetric PSD for the pair or every stacked pair."""
-    X, Z, _ = _stack(X, Z)
+    """Raise unless X^T Z is symmetric PSD for every stacked pair."""
+    X, Z = _stack(X, Z)
     G = _t(X) @ Z
     scale = 1.0 + _norms(G)
     if (_norms(G - _t(G)) > 1e-8 * scale).any():
@@ -194,36 +192,33 @@ def _require_aligned(X, Z):
 
 
 def _range_parts(X, Z):
-    """The parts of Z inside and outside the range of X (float arrays).
+    """The parts of each Z inside and outside the range of its X.
 
-    On stacks, each pair keeps the singular directions of its own X that
-    pass the relative rank cut.
+    Each pair keeps the singular directions of its own X that pass the
+    relative rank cut.
     """
-    X, Z, single = _stack(X, Z)
+    X, Z = _stack(X, Z)
     U, sv, _ = np.linalg.svd(X, full_matrices=False)
     keep = _significant(sv)
     basis = U * keep[:, None, :]
     z_range = basis @ (_t(basis) @ Z)
-    z_perp = Z - z_range
-    return (z_range[0], z_perp[0]) if single else (z_range, z_perp)
+    return z_range, Z - z_range
 
 
 def normcompare_check(X, Z):
-    """Factor distance bound for aligned pairs.
+    """Factor distance bound for (k, n, r) stacks of aligned pairs.
 
-    Returns whether sigma_r(Z Z^T) * ||X - Z||_F^2 is at most
-    ||X X^T - Z Z^T||_F^2 / (2 (sqrt(2) - 1)): a bool for one (n, r) pair,
-    a list of bools for (k, n, r) stacks.
+    Returns, for each pair, whether sigma_r(Z Z^T) * ||X - Z||_F^2 is at
+    most ||X X^T - Z Z^T||_F^2 / (2 (sqrt(2) - 1)), as a list of k bools.
     """
-    X, Z, single = _stack(X, Z)
+    X, Z = _stack(X, Z)
     _require_aligned(X, Z)
     r = Z.shape[-1]
     sig = np.linalg.svd(Z, compute_uv=False)[:, r - 1].tolist()
     gap = _norms(X - Z).tolist()
     err = _norms(X @ _t(X) - Z @ _t(Z)).tolist()
-    passed = [s ** 2 * g ** 2 <= e ** 2 / (2.0 * (math.sqrt(2.0) - 1.0)) + 1e-10
-              for s, g, e in zip(sig, gap, err)]
-    return passed[0] if single else passed
+    return [s ** 2 * g ** 2 <= e ** 2 / (2.0 * (math.sqrt(2.0) - 1.0)) + 1e-10
+            for s, g, e in zip(sig, gap, err)]
 
 
 def pl_dual_bound(X, Z, mu_prime, C_tilde, sigma_r):
@@ -245,7 +240,7 @@ def pl_dual_bound(X, Z, mu_prime, C_tilde, sigma_r):
     limit = math.sqrt(2.0 * (math.sqrt(2.0) - 1.0) * sigma_r)
     if not 0 < C_tilde < min(limit, math.sqrt(sigma_r)):
         raise ValueError("C_tilde must lie in (0, %.6g)" % min(limit, math.sqrt(sigma_r)))
-    Z = align(X, Z)
+    Z = align(X[None], np.asarray(Z)[None])[0]
     gap = _norm(X - Z)
     if gap > C_tilde:
         raise ValueError("||X - Z||_F exceeds C_tilde")
@@ -290,10 +285,10 @@ def saddle_eta0(X, Z, zeta=None, kappa=None):
     ||z_perp z_perp^T||) determine the certificate level eta0, which is
     checked against its proven ceiling of one third.  When zeta and kappa
     are given, the stationarity slack (sqrt(r) + sqrt(2)/zeta) * kappa /
-    ||e|| of an approximate critical point is recorded alongside.  One
-    (n, r) pair gives a report; (k, n, r) stacks give a list of k reports.
+    ||e|| of an approximate critical point is recorded alongside.  X and Z
+    are (k, n, r) stacks of k pairs; returns a list of k reports.
     """
-    X, Z, single = _stack(X, Z)
+    X, Z = _stack(X, Z)
     Z = align(X, Z)
     xxt = X @ _t(X)
     err_norm = _norms(xxt - Z @ _t(Z))
@@ -329,7 +324,7 @@ def saddle_eta0(X, Z, zeta=None, kappa=None):
             eta0 = beta * (alpha - beta) / (1.0 - beta * alpha)
         report.quantities.update(alpha=alpha, beta=beta, eta0=eta0)
         report.add_check("eta0_bound", eta0, 1.0 / 3.0, tol=1e-8)
-    return reports[0] if single else reports
+    return reports
 
 
 def _by_shape(pairs):

@@ -99,28 +99,26 @@ class LiftedLoss(MatrixLoss):
 
     The inner loss f has isometry constant ``delta``, which fixes the
     balancing weight phi = (1 - delta)/2, the scale 4/(1 + delta) and the
-    lift's own constant ``self.delta = rip.lift_delta(delta)``.  For
-    N = [[N11, N12], [N21, N22]] the value is scale times
-    (f(N12) + f(N21^T)) / 2 + phi/4 * (||N11||^2 + ||N22||^2
-    - ||N12||^2 - ||N21||^2), so minimizing over N = X X^T with
-    X = [U; V] recovers the asymmetric problem with balanced factors.
+    lift's own constant ``self.delta = rip.lift_delta(delta)``.  The lift
+    is evaluated only at symmetric N = [[N11, N12], [N12^T, N22]], as every
+    N = X X^T is; there its value is scale times f(N12) + phi/4 *
+    (||N11||^2 + ||N22||^2 - 2 ||N12||^2), so minimizing over N = X X^T
+    with X = [U; V] recovers the asymmetric problem with balanced factors.
+    ``value``, ``grad`` and ``value_and_grad`` evaluate f once, at N12, and
+    do not check that N is symmetric.  ``hess_gram`` differentiates the
+    extension (f(N12) + f(N21^T))/2 to all N, whose value and gradient at
+    symmetric N are these.
 
     The balancing gradient is B = phi/2 * S * N, where the sign matrix S is
     +1 on the diagonal blocks and -1 off them; the balancing value is
     <N, B> / 2, one signed sum over the whole matrix, which rounds
     differently from four block sums only in the last bits.  The inner
-    gradients are added to the off-diagonal blocks of B, which gives the
-    same bits as g/2 - phi/2 * N12 because a + (-b) rounds exactly as
-    a - b does.
-
-    When N12 and N21^T hold the same bits, as they do for every N = X X^T,
-    the inner loss is evaluated once, on N12, and that result stands in for
-    N21^T.  Identical inputs give identical outputs, so the value and
-    gradient are the same bits as with two evaluations.  The scale
-    multiplies each result last.  At a bit-symmetric M the inner gradient
-    then lands on both off-diagonal blocks as g and g^T, and the balancing
-    part is symmetric, so the gradient is bit-symmetric whatever the inner
-    loss: ``symmetric_grad`` holds.
+    gradient g at N12 is added to the off-diagonal blocks of B as g/2 and
+    its transpose, which gives the same bits as g/2 - phi/2 * N12 because
+    a + (-b) rounds exactly as a - b does.  The scale multiplies each
+    result last.  At a bit-symmetric M the balancing part is symmetric, so
+    the gradient is bit-symmetric whatever the inner loss:
+    ``symmetric_grad`` holds.
     """
 
     symmetric_grad = True
@@ -138,14 +136,14 @@ class LiftedLoss(MatrixLoss):
         self._sign[:k, k:] = self._sign[k:, :k] = -1.0
         self._half_phi_sign = 0.5 * self.phi * self._sign
 
-    def _add_inner(self, B, g12, g21):
-        """Add the inner gradients at N12 and N21^T to the balancing part B."""
+    def _add_inner(self, B, g12):
+        """Add the inner gradient at N12 to both off-diagonal blocks of B."""
         k = self.split
         top, bottom = B[:k, k:], B[k:, :k]
         half = 0.5 * g12
         top += half
         # (0.5 g)^T holds the bits of 0.5 g^T.
-        bottom += half.T if g21 is g12 else 0.5 * g21.T
+        bottom += half.T
         return B
 
     def value(self, M):
@@ -153,28 +151,18 @@ class LiftedLoss(MatrixLoss):
 
     def grad(self, M):
         # Not via value_and_grad: estimate_rho1 calls only the gradient and
-        # would discard the inner values and the balancing sum.
+        # would discard the inner value and the balancing sum.
         M = self._check(M)
-        k = self.split
-        b12, b21 = M[:k, k:], M[k:, :k]
-        g12 = self.inner.grad(b12)
-        same = b12.tobytes() == b21.T.tobytes()
-        g21 = g12 if same else self.inner.grad(b21.T)
-        return self.scale * self._add_inner(self._half_phi_sign * M, g12, g21)
+        g12 = self.inner.grad(M[:self.split, self.split:])
+        return self.scale * self._add_inner(self._half_phi_sign * M, g12)
 
     def value_and_grad(self, M):
         M = self._check(M)
-        k = self.split
-        b12, b21 = M[:k, k:], M[k:, :k]
-        v12, g12 = self.inner.value_and_grad(b12)
-        if b12.tobytes() == b21.T.tobytes():
-            v21, g21 = v12, g12
-        else:
-            v21, g21 = self.inner.value_and_grad(b21.T)
+        v12, g12 = self.inner.value_and_grad(M[:self.split, self.split:])
         B = self._half_phi_sign * M
-        val = 0.5 * (v12 + v21) + 0.5 * np.vdot(M, B)
-        return (self.scale * float(val),
-                self.scale * self._add_inner(B, g12, g21))
+        # At symmetric M, (f(N12) + f(N21^T)) / 2 is exactly f(N12).
+        val = v12 + 0.5 * np.vdot(M, B)
+        return self.scale * float(val), self.scale * self._add_inner(B, g12)
 
     def hess_gram(self, M, dirs):
         M = self._check(M)

@@ -85,7 +85,7 @@ class LinearOperator:
         # that gather its input and scatter its adjoint, and the adjoint's
         # weights; see symmetrized.
         self._packed = self._upper = self._lower = None
-        self._half = self._weights = self._unpack = None
+        self._weights = self._unpack = None
 
     @property
     def p(self):
@@ -143,19 +143,15 @@ class LinearOperator:
             return self.scale * v.dot(self._rows).reshape(self.n, self.m)
         # sum_i v_i S_i: its upper triangle is the packed product, halved
         # off the diagonal, and both triangles read the same entries.  The
-        # weights scale * half are formed once, by symmetrized or with_scale.
+        # weights are formed once, by symmetrized.
         w = v.dot(self._packed)
         w *= self._weights
         return w[self._unpack].reshape(self.n, self.n)
 
     def with_scale(self, scale):
-        """Copy of this operator with the scale replaced; arrays are shared."""
+        """Copy at another scale; a symmetrized operator is symmetrized anew."""
         out = LinearOperator(self.matrices, scale=scale)
-        out._packed, out._upper, out._lower, out._half, out._unpack = (
-            self._packed, self._upper, self._lower, self._half, self._unpack)
-        if out._half is not None:
-            out._weights = out.scale * out._half
-        return out
+        return out if self._packed is None else out.symmetrized()
 
     def symmetrized(self):
         """The map of S_i = (A_i + A_i^T)/2 on every n-by-n matrix.
@@ -184,8 +180,8 @@ class LinearOperator:
                               out._upper, axis=1,
                               out=_aligned_empty((self.p, len(j))))
         out._packed[:, diag] *= 0.5
-        out._half = np.where(diag, 1.0, 0.5)
-        out._weights = out.scale * out._half
+        # scale * 0.5 is exactly 0.5 * scale.
+        out._weights = np.where(diag, out.scale, 0.5 * out.scale)
         unpack = np.empty((n, n), dtype=np.intp)
         unpack[j, k] = unpack[k, j] = np.arange(len(j))
         out._unpack = unpack.reshape(-1)
@@ -331,10 +327,7 @@ def make_onebit_loss(m_hat, scale=6.0):
     restricted isometry constant of one half on that region.
     """
     from scipy.special import expit
-    m_hat = np.asarray(m_hat, dtype=float)
-    if m_hat.ndim != 2 or m_hat.shape[0] != m_hat.shape[1]:
-        raise ValueError("m_hat must be a square matrix")
-    return OneBitLoss(expit(m_hat), scale=scale)
+    return OneBitLoss(expit(np.asarray(m_hat, dtype=float)), scale=scale)
 
 
 def onebit_rho2(scale):

@@ -56,8 +56,9 @@ class PgdParams:
 
 def pgd_params(problem, c, kappa, gamma):
     """Perturbed descent constants for a problem and its n-by-r factor."""
-    if c <= 0 or kappa <= 0 or not 0 < gamma <= 1:
-        raise ValueError("c and kappa must be positive and gamma in (0, 1]")
+    if not (0 < c < math.inf and 0 < kappa < math.inf and 0 < gamma <= 1):
+        raise ValueError("c and kappa must be positive and finite and gamma "
+                         "in (0, 1]; got c=%r, kappa=%r" % (c, kappa))
     n, r = problem.n, problem.r
     delta = problem.delta
     big_r = 3.0 * problem.bound_d * (1.0 + delta) / (1.0 - delta)
@@ -240,8 +241,8 @@ def gradient_descent(problem, x0, eta, max_iters=10000, tol=1e-8,
     ``max_iters`` steps.  Rows are recorded with phase 2, the
     plain-descent phase.
     """
-    if eta <= 0:
-        raise ValueError("step size must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError("step size eta must be positive and finite")
     if eps_target is not None and eps_target <= 0:
         raise ValueError("eps_target must be positive")
     return _descend(problem, np.array(x0, dtype=float), eta, max_iters,

@@ -234,13 +234,13 @@ def test_verify_gradhessian_at_truth():
 
 def test_align():
     rng = np.random.default_rng(12)
-    X = rng.standard_normal((5, 3))
+    X = rng.standard_normal((1, 5, 3))
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     assert np.allclose(align(X, X @ Q), X, atol=1e-10)
-    x1 = rng.standard_normal((4, 1))
+    x1 = rng.standard_normal((1, 4, 1))
     assert np.allclose(align(x1, -x1), x1, atol=1e-12)
-    Z = align(X, rng.standard_normal((5, 3)))
-    G = X.T @ Z
+    Z = align(X, rng.standard_normal((1, 5, 3)))[0]
+    G = X[0].T @ Z
     assert np.linalg.norm(G - G.T) <= 1e-10 * (1 + np.linalg.norm(G))
     assert np.linalg.eigvalsh(0.5 * (G + G.T))[0] >= -1e-10
 
@@ -253,8 +253,8 @@ def test_range_parts_projection():
         n = int(rng.integers(2, 7))
         r = int(rng.integers(1, n))
         X = rng.standard_normal((n, r))
-        Z = align(X, rng.standard_normal((n, r)))
-        z_range, z_perp = _range_parts(X, Z)
+        Z = align(X[None], rng.standard_normal((1, n, r)))[0]
+        z_range, z_perp = (part[0] for part in _range_parts(X[None], Z[None]))
         scale = max(1.0, np.linalg.norm(X @ X.T - Z @ Z.T))
         # z_perp is computed as Z - z_range, so the sum is Z up to rounding.
         assert np.linalg.norm(z_range + z_perp - Z) <= 1e-12 * scale
@@ -264,7 +264,7 @@ def test_range_parts_projection():
     # it lands in z_perp.
     X = np.array([[1.0, 0.0], [0.0, 1e-13], [0.0, 0.0]])
     Z = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    z_range, z_perp = _range_parts(X, Z)
+    z_range, z_perp = (part[0] for part in _range_parts(X[None], Z[None]))
     assert np.allclose(z_range + z_perp, Z, rtol=0.0, atol=1e-15)
     assert np.allclose(z_range, [[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]],
                        atol=1e-15)
@@ -276,16 +276,17 @@ def test_normcompare():
     # Scalar check: X=2, Z=1 gives lhs 1 against 9/(2(sqrt(2)-1)).
     assert 9.0 / (2.0 * (math.sqrt(2.0) - 1.0)) == pytest.approx(
         10.863961030678926, rel=1e-15)
-    assert normcompare_check(np.array([[2.0]]), np.array([[1.0]]))
+    assert normcompare_check(np.array([[[2.0]]]), np.array([[[1.0]]])) == [
+        True]
     rng = np.random.default_rng(14)
     for _ in range(200):
         n = int(rng.integers(2, 7))
         r = int(rng.integers(1, n + 1))
-        X = rng.standard_normal((n, r))
-        Z = align(X, rng.standard_normal((n, r)))
-        assert normcompare_check(X, Z)
+        X = rng.standard_normal((1, n, r))
+        Z = align(X, rng.standard_normal((1, n, r)))
+        assert normcompare_check(X, Z) == [True]
     with pytest.raises(ValueError, match="align"):
-        x = np.array([[1.0]])
+        x = np.array([[[1.0]]])
         normcompare_check(x, -x)
 
 
@@ -348,14 +349,14 @@ def test_pl_dual_bound_validation():
 def test_saddle_eta0_axis_pair():
     # X=e1, Z=e2: alpha = 1/sqrt(2), the alpha branch applies, and
     # eta0 = 3 - 2 sqrt(2).
-    X = np.array([[1.0], [0.0]])
-    Z = np.array([[0.0], [1.0]])
-    rep = saddle_eta0(X, Z)
+    X = np.array([[[1.0], [0.0]]])
+    Z = np.array([[[0.0], [1.0]]])
+    rep, = saddle_eta0(X, Z)
     assert rep.quantities["alpha"] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
     assert rep.quantities["eta0"] == pytest.approx(0.17157287525380971, rel=1e-12)
     assert rep.passed and not rep.special_case
     # zeta=2, kappa=1/2 gives slack (1 + sqrt(2)/2) / (2 sqrt(2)).
-    rep = saddle_eta0(X, Z, zeta=2.0, kappa=0.5)
+    rep, = saddle_eta0(X, Z, zeta=2.0, kappa=0.5)
     assert rep.quantities["stationarity_slack"] == pytest.approx(
         0.60355339059327373, rel=1e-12)
     with pytest.raises(ValueError, match="zeta"):
@@ -366,16 +367,16 @@ def test_saddle_eta0_range_overlap():
     # Z inside the range of X leaves no perpendicular part; the level
     # collapses to zero as a recorded special case.
     rng = np.random.default_rng(20)
-    X = rng.standard_normal((4, 2))
+    X = rng.standard_normal((1, 4, 2))
     Z = X @ rng.standard_normal((2, 2))
-    rep = saddle_eta0(X, Z)
+    rep, = saddle_eta0(X, Z)
     assert rep.special_case
     assert rep.quantities["eta0"] == 0.0
     assert rep.passed
 
 
 def test_saddle_eta0_identical_error():
-    X = np.ones((3, 1))
+    X = np.ones((1, 3, 1))
     with pytest.raises(ValueError, match="no saddle"):
         saddle_eta0(X, X.copy())
 
@@ -389,7 +390,7 @@ def test_saddle_eta0_random_bound():
         Z = rng.standard_normal((n, r))
         if np.linalg.norm(X @ X.T - Z @ Z.T) <= 1e-8:
             continue
-        rep = saddle_eta0(X, Z)
+        rep, = saddle_eta0(X[None], Z[None])
         assert rep.quantities["eta0"] <= 1.0 / 3.0 + 1e-8
         assert rep.passed
 
@@ -426,33 +427,30 @@ def test_significant_masks_each_stacked_row_on_its_own():
 
 
 def test_stacks_match_single_pairs_bit_for_bit():
+    # Each pair of a stack gets the bits of its stack of one.
     def bits(report):
         return repr(report.to_dict())
 
     for X, Z in _stacks_of_every_shape():
         Za = align(X, Z)
         z_range, z_perp = _range_parts(X, Za)
-        for i in range(len(X)):
-            assert Za[i].tobytes() == align(X[i], Z[i]).tobytes()
-            one_range, one_perp = _range_parts(X[i], Za[i])
+        ones = [(X[i:i + 1], Z[i:i + 1], Za[i:i + 1]) for i in range(len(X))]
+        for i, (x, z, za) in enumerate(ones):
+            assert Za[i].tobytes() == align(x, z).tobytes()
+            one_range, one_perp = _range_parts(x, za)
             assert z_range[i].tobytes() == one_range.tobytes()
             assert z_perp[i].tobytes() == one_perp.tobytes()
         assert normcompare_check(X, Za) == [
-            normcompare_check(x, z) for x, z in zip(X, Za)]
+            normcompare_check(x, za)[0] for x, _, za in ones]
         for kwargs in ({}, {"zeta": 0.5, "kappa": 0.1}):
             assert [bits(rep) for rep in saddle_eta0(X, Z, **kwargs)] == [
-                bits(saddle_eta0(x, z, **kwargs)) for x, z in zip(X, Z)]
+                bits(saddle_eta0(x, z, **kwargs)[0]) for x, z, _ in ones]
         assert saddle_eta0(X, Z)[1].special_case
-        # A stack of one gives a list of the one pair's result.
-        assert [bits(rep) for rep in saddle_eta0(X[:1], Z[:1])] == [
-            bits(saddle_eta0(X[0], Z[0]))]
-        assert normcompare_check(X[:1], Za[:1]) == [
-            normcompare_check(X[0], Za[0])]
         # One pair with X X^T = Z Z^T fails the stack, as it fails alone.
         with pytest.raises(ValueError, match="no saddle"):
             saddle_eta0(np.concatenate([X, X[:1]]), np.concatenate([Z, X[:1]]))
         with pytest.raises(ValueError, match="no saddle"):
-            saddle_eta0(X[0], X[0].copy())
+            saddle_eta0(X[:1], X[:1].copy())
         # So does one pair that is not aligned.
         with pytest.raises(ValueError, match="align"):
             normcompare_check(np.concatenate([X, X[:1]]),
@@ -461,11 +459,11 @@ def test_stacks_match_single_pairs_bit_for_bit():
 
 def test_pair_checks_refuse_mismatched_shapes():
     # A (k, n, r) X with an (n, r) Z would broadcast through the stacked
-    # products and check the wrong pairs.
+    # products and check the wrong pairs; a lone (n, r) pair is not a stack.
     X = np.ones((3, 4, 2))
     cases = [(X, np.ones((4, 2))), (X[0], X), (X, np.ones((3, 4, 1))),
              (X, np.ones((2, 4, 2))), (np.ones(4), np.ones(4)),
-             (X[None], X[None])]
+             (X[None], X[None]), (X[0], X[0])]
     for check in (align, normcompare_check, saddle_eta0):
         for x, z in cases:
             with pytest.raises(ValueError, match=re.escape(

@@ -133,7 +133,8 @@ def test_symmetrized_operator_is_the_symmetric_part_map():
         upper = (M + M.T).reshape(-1)[packed._upper]
         assert packed.apply(M).tobytes() == (
             (0.5 * op.scale) * (packed._packed @ upper)).tobytes()
-        w = (v @ packed._packed) * (op.scale * packed._half)
+        half = np.where(packed._upper == packed._lower, 1.0, 0.5)
+        w = (v @ packed._packed) * (op.scale * half)
         assert W.tobytes() == w[packed._unpack].reshape(n, n).tobytes()
         assert op.apply(M).tobytes() == (
             op.scale * (op._rows @ M.reshape(-1))).tobytes()
@@ -158,9 +159,13 @@ def test_symmetrized_operator_batch_scale_and_symmetric_input():
     assert packed.apply_batch(sym).tobytes() == op.apply_batch(sym).tobytes()
     for M in sym:
         np.testing.assert_allclose(packed.apply(M), op.apply(M), rtol=1e-12)
-    # with_scale keeps the packed form and shares its stack.
+    # with_scale keeps the packed form: it is the operator that
+    # symmetrized() builds at the new scale.
     scaled = packed.with_scale(2.0)
-    assert scaled._packed is packed._packed and scaled.scale == 2.0
+    fresh = op.with_scale(2.0).symmetrized()
+    assert scaled.scale == 2.0
+    assert scaled._packed.tobytes() == fresh._packed.tobytes()
+    assert scaled.apply(Ms[0]).tobytes() == fresh.apply(Ms[0]).tobytes()
     np.testing.assert_allclose(scaled.apply(Ms[0]),
                                (2.0 / 0.61) * packed.apply(Ms[0]), rtol=1e-12)
     assert op.with_scale(2.0)._packed is None
@@ -192,7 +197,9 @@ def test_packed_with_scale_adjoint_same_bits_as_fresh_operator():
         for s in (2.0, 0.37, 1e-3):
             scaled = packed.with_scale(s)
             fresh = op.with_scale(s).symmetrized()
-            assert scaled._lower is packed._lower
+            for name in ("_packed", "_upper", "_lower", "_weights", "_unpack"):
+                assert getattr(scaled, name).tobytes() == getattr(
+                    fresh, name).tobytes()
             v = rng.standard_normal(p)
             assert scaled.adjoint(v).tobytes() == fresh.adjoint(v).tobytes()
             M = rng.standard_normal((n, n))
@@ -365,7 +372,7 @@ def test_make_onebit_weight_band():
     assert 0.5 < w_edge <= 1.5
     w_mid = 6.0 * expit(0.0) * (1.0 - expit(0.0))
     assert abs(w_mid - 1.5) < 1e-15
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="square"):
         make_onebit_loss(np.zeros((2, 3)))
 
 

@@ -83,6 +83,13 @@ def test_pgd_params_validation():
     ):
         with pytest.raises(ValueError):
             pgd_params(problem, **kwargs)
+    # A NaN or infinite c or kappa is refused by name, not turned into NaN
+    # constants or a math domain error.
+    for bad in (float("nan"), float("inf")):
+        for kwargs in (dict(c=bad, kappa=1.0), dict(c=0.5, kappa=bad)):
+            with pytest.raises(ValueError, match="c and kappa must be "
+                               "positive and finite"):
+                pgd_params(problem, gamma=0.1, **kwargs)
 
 
 def test_gradient_descent_grad_tol():
@@ -127,8 +134,9 @@ def test_gradient_descent_divergence_raises():
 
 def test_gradient_descent_validation():
     problem = scalar_problem(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        gradient_descent(problem, np.zeros((1, 1)), eta=0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            gradient_descent(problem, np.zeros((1, 1)), eta=bad)
     with pytest.raises(ValueError):
         gradient_descent(problem, np.zeros((1, 1)), eta=0.1, eps_target=0.0)
 
