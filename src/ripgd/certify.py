@@ -180,39 +180,30 @@ def align(X, Z):
     return Z @ (_t(Qt) @ _t(P))
 
 
-def _require_aligned(X, Z):
-    """Raise unless X^T Z is symmetric PSD for every stacked pair."""
-    X, Z = _stack(X, Z)
-    G = _t(X) @ Z
-    scale = 1.0 + _norms(G)
-    if (_norms(G - _t(G)) > 1e-8 * scale).any():
-        raise ValueError("X^T Z is not symmetric; align Z first")
-    if (np.linalg.eigvalsh(0.5 * (G + _t(G)))[:, 0] < -1e-8 * scale).any():
-        raise ValueError("X^T Z is not positive semidefinite; align Z first")
-
-
 def _range_parts(X, Z):
     """The parts of each Z inside and outside the range of its X.
 
     Each pair keeps the singular directions of its own X that pass the
-    relative rank cut.
+    relative rank cut.  The singular values of each X come back third.
     """
     X, Z = _stack(X, Z)
     U, sv, _ = np.linalg.svd(X, full_matrices=False)
     keep = _significant(sv)
     basis = U * keep[:, None, :]
     z_range = basis @ (_t(basis) @ Z)
-    return z_range, Z - z_range
+    return z_range, Z - z_range, sv
 
 
 def normcompare_check(X, Z):
-    """Factor distance bound for (k, n, r) stacks of aligned pairs.
+    """Factor distance bound for (k, n, r) stacks of pairs.
 
-    Returns, for each pair, whether sigma_r(Z Z^T) * ||X - Z||_F^2 is at
-    most ||X X^T - Z Z^T||_F^2 / (2 (sqrt(2) - 1)), as a list of k bools.
+    The bound is on the distance from X to the closest rotation of Z, so
+    each Z is aligned to its X first.  Returns, for each pair, whether
+    sigma_r(Z Z^T) * ||X - Z||_F^2 is at most
+    ||X X^T - Z Z^T||_F^2 / (2 (sqrt(2) - 1)), as a list of k bools.
     """
     X, Z = _stack(X, Z)
-    _require_aligned(X, Z)
+    Z = align(X, Z)
     r = Z.shape[-1]
     sig = np.linalg.svd(Z, compute_uv=False)[:, r - 1].tolist()
     gap = _norms(X - Z).tolist()
@@ -286,10 +277,12 @@ def saddle_eta0(X, Z, zeta=None, kappa=None):
     checked against its proven ceiling of one third.  When zeta and kappa
     are given, the stationarity slack (sqrt(r) + sqrt(2)/zeta) * kappa /
     ||e|| of an approximate critical point is recorded alongside.  X and Z
-    are (k, n, r) stacks of k pairs; returns a list of k reports.
+    are (k, n, r) stacks of k pairs; returns a list of k reports.  Z needs
+    no alignment: z_perp z_perp^T = (I - P_X) Z Z^T (I - P_X), its trace
+    and ||X X^T - Z Z^T|| are all unchanged when Z becomes Z Q for an
+    orthogonal Q.
     """
     X, Z = _stack(X, Z)
-    Z = align(X, Z)
     xxt = X @ _t(X)
     err_norm = _norms(xxt - Z @ _t(Z))
     if (err_norm <= 1e-12 * np.maximum(1.0, _norms(xxt))).any():
@@ -298,12 +291,11 @@ def saddle_eta0(X, Z, zeta=None, kappa=None):
     if slack and not zeta > 0:
         raise ValueError("zeta must be positive")
     r = X.shape[-1]
-    z_perp = _range_parts(X, Z)[1]
+    _, z_perp, sig_x = _range_parts(X, Z)
     pzz = z_perp @ _t(z_perp)
-    sig_x = np.linalg.svd(X, compute_uv=False)[:, r - 1]
     reports = []
     for err_norm, pzz_norm, sig_r, trace in zip(
-            err_norm.tolist(), _norms(pzz).tolist(), sig_x.tolist(),
+            err_norm.tolist(), _norms(pzz).tolist(), sig_x[:, r - 1].tolist(),
             np.trace(pzz, axis1=1, axis2=2).tolist()):
         report = CertificateReport(kind="saddle")
         reports.append(report)
@@ -433,7 +425,7 @@ def run_certificate_suites(seed=0, gradhessian=100, saddle=500, pl_dual=200,
         r = int(rng.integers(1, n + 1))
         X = rng.standard_normal((n, r))
         pairs.append((X, rng.standard_normal((n, r))))
-    failures = sum(normcompare_check(X, align(X, Z)).count(False)
+    failures = sum(normcompare_check(X, Z).count(False)
                    for X, Z in _by_shape(pairs))
     results["normcompare"] = {"count": normcompare, "failures": failures}
 

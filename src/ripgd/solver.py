@@ -243,8 +243,10 @@ def gradient_descent(problem, x0, eta, max_iters=10000, tol=1e-8,
     """
     if not 0 < eta < math.inf:
         raise ValueError("step size eta must be positive and finite")
-    if eps_target is not None and eps_target <= 0:
+    if eps_target is not None and not eps_target > 0:
         raise ValueError("eps_target must be positive")
+    if tol is not None and not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     return _descend(problem, np.array(x0, dtype=float), eta, max_iters,
                     eps_target, tol=tol)
 
@@ -273,7 +275,7 @@ def perturbed_gd(problem, x0, params, eps_target, max_iters=100000, seed=0):
     The perturbation draw is the only randomness; runs are reproducible
     from ``seed``.
     """
-    if eps_target <= 0:
+    if not eps_target > 0:
         raise ValueError("eps_target must be positive")
     X = np.array(x0, dtype=float)
     if _norm(X.dot(X.T)) > problem.bound_d * (1 + 1e-12):

@@ -70,6 +70,18 @@ MUTANTS = [
      "if not 0 < eta < math.inf:",
      "if eta <= 0:",
      "tests/test_solver.py::test_gradient_descent_validation"),
+    ("src/ripgd/solver.py",
+     "if eps_target is not None and not eps_target > 0:",
+     "if eps_target is not None and eps_target <= 0:",
+     "tests/test_solver.py::test_gradient_descent_refuses_nan_stops"),
+    ("src/ripgd/solver.py",
+     "if tol is not None and not tol >= 0:",
+     "if tol is not None and tol < 0:",
+     "tests/test_solver.py::test_gradient_descent_refuses_nan_stops"),
+    ("src/ripgd/solver.py",
+     "if not eps_target > 0:",
+     "if eps_target <= 0:",
+     "tests/test_solver.py::test_perturbed_gd_refuses_nan_eps_target"),
     # Memory: the dense limit before the allocation, the thread cap.
     ("src/ripgd/certify.py",
      "_check_dense(n * r * n * n)",
@@ -86,8 +98,8 @@ MUTANTS = [
      "if gap > 10.0 * C_tilde:",
      "tests/test_certify.py::test_pl_dual_bound_validation"),
     ("src/ripgd/certify.py",
-     "[:, 0] < -1e-8 * scale).any():",
-     "[:, 0] < -1e8 * scale).any():",
+     "Z = align(X, Z)",
+     "Z = 1.0 * Z",
      "tests/test_certify.py::test_normcompare"),
     ("src/ripgd/certify.py",
      "q2 = math.sqrt(2.0) * mu_prime / (math.sqrt(sigma_r) - C_tilde)",

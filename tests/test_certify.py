@@ -253,18 +253,23 @@ def test_range_parts_projection():
         n = int(rng.integers(2, 7))
         r = int(rng.integers(1, n))
         X = rng.standard_normal((n, r))
-        Z = align(X[None], rng.standard_normal((1, n, r)))[0]
-        z_range, z_perp = (part[0] for part in _range_parts(X[None], Z[None]))
+        Z = rng.standard_normal((n, r))
+        z_range, z_perp, sv = (part[0]
+                               for part in _range_parts(X[None], Z[None]))
         scale = max(1.0, np.linalg.norm(X @ X.T - Z @ Z.T))
         # z_perp is computed as Z - z_range, so the sum is Z up to rounding.
         assert np.linalg.norm(z_range + z_perp - Z) <= 1e-12 * scale
         assert np.linalg.norm(X.T @ z_perp) <= 1e-10 * scale
+        # The singular values of X come from the same decomposition.
+        assert np.allclose(sv, np.linalg.svd(X, compute_uv=False),
+                           rtol=1e-13, atol=0.0)
     # A column scaled to 1e-13 of the other lies below the relative 1e-10
     # cut: its direction is dropped from the range, so the part of Z along
     # it lands in z_perp.
     X = np.array([[1.0, 0.0], [0.0, 1e-13], [0.0, 0.0]])
     Z = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    z_range, z_perp = (part[0] for part in _range_parts(X[None], Z[None]))
+    z_range, z_perp, sv = (part[0] for part in _range_parts(X[None], Z[None]))
+    assert sv == pytest.approx([1.0, 1e-13], rel=1e-12, abs=0.0)
     assert np.allclose(z_range + z_perp, Z, rtol=0.0, atol=1e-15)
     assert np.allclose(z_range, [[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]],
                        atol=1e-15)
@@ -278,16 +283,18 @@ def test_normcompare():
         10.863961030678926, rel=1e-15)
     assert normcompare_check(np.array([[[2.0]]]), np.array([[[1.0]]])) == [
         True]
+    # The pairs are not aligned: the check aligns each Z itself.  Without
+    # that, 25 of these 200 pairs fail the bound.
     rng = np.random.default_rng(14)
     for _ in range(200):
         n = int(rng.integers(2, 7))
         r = int(rng.integers(1, n + 1))
         X = rng.standard_normal((1, n, r))
-        Z = align(X, rng.standard_normal((1, n, r)))
+        Z = rng.standard_normal((1, n, r))
         assert normcompare_check(X, Z) == [True]
-    with pytest.raises(ValueError, match="align"):
-        x = np.array([[[1.0]]])
-        normcompare_check(x, -x)
+    # Z = -X is X rotated by -1, at distance zero once aligned.
+    x = np.array([[[1.0]]])
+    assert normcompare_check(x, -x) == [True]
 
 
 def test_pl_dual_bound_random():
@@ -433,28 +440,38 @@ def test_stacks_match_single_pairs_bit_for_bit():
 
     for X, Z in _stacks_of_every_shape():
         Za = align(X, Z)
-        z_range, z_perp = _range_parts(X, Za)
-        ones = [(X[i:i + 1], Z[i:i + 1], Za[i:i + 1]) for i in range(len(X))]
-        for i, (x, z, za) in enumerate(ones):
+        parts = _range_parts(X, Z)
+        ones = [(X[i:i + 1], Z[i:i + 1]) for i in range(len(X))]
+        for i, (x, z) in enumerate(ones):
             assert Za[i].tobytes() == align(x, z).tobytes()
-            one_range, one_perp = _range_parts(x, za)
-            assert z_range[i].tobytes() == one_range.tobytes()
-            assert z_perp[i].tobytes() == one_perp.tobytes()
-        assert normcompare_check(X, Za) == [
-            normcompare_check(x, za)[0] for x, _, za in ones]
+            for part, one in zip(parts, _range_parts(x, z)):
+                assert part[i].tobytes() == one.tobytes()
+        assert normcompare_check(X, Z) == [
+            normcompare_check(x, z)[0] for x, z in ones]
         for kwargs in ({}, {"zeta": 0.5, "kappa": 0.1}):
             assert [bits(rep) for rep in saddle_eta0(X, Z, **kwargs)] == [
-                bits(saddle_eta0(x, z, **kwargs)[0]) for x, z, _ in ones]
+                bits(saddle_eta0(x, z, **kwargs)[0]) for x, z in ones]
         assert saddle_eta0(X, Z)[1].special_case
         # One pair with X X^T = Z Z^T fails the stack, as it fails alone.
         with pytest.raises(ValueError, match="no saddle"):
             saddle_eta0(np.concatenate([X, X[:1]]), np.concatenate([Z, X[:1]]))
         with pytest.raises(ValueError, match="no saddle"):
             saddle_eta0(X[:1], X[:1].copy())
-        # So does one pair that is not aligned.
-        with pytest.raises(ValueError, match="align"):
-            normcompare_check(np.concatenate([X, X[:1]]),
-                              np.concatenate([Za, -X[:1]]))
+
+
+def test_saddle_eta0_is_unchanged_by_rotating_z():
+    # alpha, beta and eta0 depend on Z only through Z Z^T, so Z Q for an
+    # orthogonal Q gives the same report up to rounding.
+    rng = np.random.default_rng(32)
+    for X, Z in _stacks_of_every_shape():
+        k, _, r = Z.shape
+        Q = np.linalg.qr(rng.standard_normal((k, r, r)))[0]
+        for rep, rot in zip(saddle_eta0(X, Z), saddle_eta0(X, Z @ Q)):
+            assert rot.special_case == rep.special_case
+            assert rot.passed == rep.passed
+            for name in ("alpha", "beta", "eta0"):
+                assert rot.quantities[name] == pytest.approx(
+                    rep.quantities[name], rel=1e-12, abs=0.0)
 
 
 def test_pair_checks_refuse_mismatched_shapes():

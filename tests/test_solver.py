@@ -141,6 +141,22 @@ def test_gradient_descent_validation():
         gradient_descent(problem, np.zeros((1, 1)), eta=0.1, eps_target=0.0)
 
 
+def test_gradient_descent_refuses_nan_stops():
+    # A NaN stop never compares true, so the run would silently spend its
+    # whole step budget.
+    problem = scalar_problem(1.0, 0.0, 1.0)
+    x0 = np.full((1, 1), 0.9)
+    with pytest.raises(ValueError, match="eps_target must be positive"):
+        gradient_descent(problem, x0, eta=0.05, max_iters=5,
+                         eps_target=float("nan"))
+    for bad in (float("nan"), -1e-8):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            gradient_descent(problem, x0, eta=0.05, max_iters=5, tol=bad)
+    for tol in (None, 0.0):
+        trace = gradient_descent(problem, x0, eta=0.05, max_iters=5, tol=tol)
+        assert trace.stop_reason == "max_iters"
+
+
 def test_perturbed_gd_escapes_origin(saddle_run):
     # x=0 is a strict saddle of (x^2-1)^2/2 with zero gradient, so plain
     # descent would never move; the perturbation has to do the escape.
@@ -266,6 +282,14 @@ def test_perturbed_gd_validation():
         perturbed_gd(problem, np.zeros((1, 1)), params, eps_target=0.0)
     with pytest.raises(ValueError, match="norm bound"):
         perturbed_gd(problem, np.full((1, 1), 2.0), params, eps_target=1e-6)
+
+
+def test_perturbed_gd_refuses_nan_eps_target():
+    problem = scalar_problem(1.0, 0.0, 1.0)
+    params = pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1)
+    with pytest.raises(ValueError, match="eps_target must be positive"):
+        perturbed_gd(problem, np.zeros((1, 1)), params,
+                     eps_target=float("nan"), max_iters=5)
 
 
 def test_trace_csv_round_trip(tmp_path, saddle_run):
