@@ -319,13 +319,69 @@ def saddle_eta0(X, Z, zeta=None, kappa=None):
     return reports
 
 
-def _by_shape(pairs):
-    """The (X, Z) pairs as stacks, one per shape, in order within each."""
+# The saddle sweep redraws an X whose sigma_r is at most this.
+_SADDLE_MIN_SIGMA = 1e-3
+
+
+def _stacks(pairs, key):
+    """The (X, Z) pairs as stacks, one per ``key(X)``, in order within each.
+
+    A pair with fewer rows than the tallest of its stack is padded with
+    zero rows.
+    """
     groups = {}
     for X, Z in pairs:
-        groups.setdefault(X.shape, []).append((X, Z))
-    return [(np.stack([X for X, _ in group]), np.stack([Z for _, Z in group]))
-            for group in groups.values()]
+        groups.setdefault(key(X), []).append((X, Z))
+    stacks = []
+    for group in groups.values():
+        rows = max(len(X) for X, _ in group)
+        Xs = np.zeros((len(group), rows, group[0][0].shape[1]))
+        Zs = np.zeros_like(Xs)
+        for i, (X, Z) in enumerate(group):
+            Xs[i, :len(X)] = X
+            Zs[i, :len(Z)] = Z
+        stacks.append((Xs, Zs))
+    return stacks
+
+
+def _saddle_pairs(rng, count, redraw):
+    """The saddle sweep's pairs, drawn one at a time in a fixed order.
+
+    With ``redraw``, each X is redrawn while its sigma_r is at most
+    _SADDLE_MIN_SIGMA; without it, every X is kept.
+    """
+    pairs = []
+    for i in range(count):
+        n = int(rng.integers(2, 7))
+        r = int(rng.integers(1, n))
+        X = rng.standard_normal((n, r))
+        while redraw and (np.linalg.svd(X, compute_uv=False)[r - 1]
+                          <= _SADDLE_MIN_SIGMA):
+            X = rng.standard_normal((n, r))
+        if i % 10 == 0:
+            # Exercise the rank-overlap branch where Z lies in the range of X.
+            Z = X @ rng.standard_normal((r, r))
+        else:
+            Z = rng.standard_normal((n, r))
+        pairs.append((X, Z))
+    return pairs
+
+
+def _saddle_stacks(rng, count):
+    """The saddle sweep's pairs as stacks, one per shape (n, r).
+
+    The pairs are drawn without the redraw test, which then runs once per
+    stack.  If any X fails it, the generator is rewound and the pairs are
+    drawn again with the test per pair.  Both ways give the same pairs and
+    leave the generator in the same state.
+    """
+    state = rng.bit_generator.state
+    stacks = _stacks(_saddle_pairs(rng, count, redraw=False), np.shape)
+    if all((np.linalg.svd(X, compute_uv=False)[:, X.shape[2] - 1]
+            > _SADDLE_MIN_SIGMA).all() for X, _ in stacks):
+        return stacks
+    rng.bit_generator.state = state
+    return _stacks(_saddle_pairs(rng, count, redraw=True), np.shape)
 
 
 def run_certificate_suites(seed=0, gradhessian=100, saddle=500, pl_dual=200,
@@ -336,6 +392,11 @@ def run_certificate_suites(seed=0, gradhessian=100, saddle=500, pl_dual=200,
     algebra.  A nonzero failure count in any suite means a certificate
     inequality was violated outside its documented prerequisites.
     """
+    for suite, count in (("gradhessian", gradhessian), ("saddle", saddle),
+                         ("pl_dual", pl_dual), ("normcompare", normcompare)):
+        if count < 0:
+            raise ValueError("%s count must be nonnegative, got %d"
+                             % (suite, count))
     rng = np.random.default_rng(seed)
     results = {}
 
@@ -366,24 +427,11 @@ def run_certificate_suites(seed=0, gradhessian=100, saddle=500, pl_dual=200,
         "min_margin": float(min(margins)) if margins else None,
     }
 
-    # Pairs are drawn one at a time in a fixed order, then checked with one
-    # stacked call per shape; a suite's outcome is the same in any order.
-    pairs = []
-    for i in range(saddle):
-        n = int(rng.integers(2, 7))
-        r = int(rng.integers(1, n))
-        X = rng.standard_normal((n, r))
-        while np.linalg.svd(X, compute_uv=False)[r - 1] <= 1e-3:
-            X = rng.standard_normal((n, r))
-        if i % 10 == 0:
-            # Exercise the rank-overlap branch where Z lies in the range of X.
-            Z = X @ rng.standard_normal((r, r))
-        else:
-            Z = rng.standard_normal((n, r))
-        pairs.append((X, Z))
+    # The saddle pairs are checked with one stacked call per shape; a
+    # suite's outcome is the same in any order.
     worst_eta0 = 0.0
     failures = 0
-    for X, Z in _by_shape(pairs):
+    for X, Z in _saddle_stacks(rng, saddle):
         distinct = _norms(X @ _t(X) - Z @ _t(Z)) > 1e-8
         for rep in saddle_eta0(X[distinct], Z[distinct]):
             failures += 0 if rep.passed else 1
@@ -425,8 +473,10 @@ def run_certificate_suites(seed=0, gradhessian=100, saddle=500, pl_dual=200,
         r = int(rng.integers(1, n + 1))
         X = rng.standard_normal((n, r))
         pairs.append((X, rng.standard_normal((n, r))))
+    # One stacked call per column count r: zero rows change none of
+    # sigma_r(Z), the distance to the closest rotation and ||X X^T - Z Z^T||.
     failures = sum(normcompare_check(X, Z).count(False)
-                   for X, Z in _by_shape(pairs))
+                   for X, Z in _stacks(pairs, lambda X: X.shape[1]))
     results["normcompare"] = {"count": normcompare, "failures": failures}
 
     return results

@@ -110,6 +110,36 @@ MUTANTS = [
      "basis = U * keep[:1, None, :]",
      "tests/test_certify.py::test_stacks_match_single_pairs_bit_for_bit"),
     ("src/ripgd/certify.py",
+     '"passed": bool(lhs <= rhs + tol),',
+     '"passed": True,',
+     "tests/test_certify.py::test_hessian_bound_fails_at_delta_zero"),
+    ("src/ripgd/certify.py",
+     "if self.construction_gap:",
+     "if False:",
+     "tests/test_certify.py::test_construction_gap_fails_the_report"),
+    ("src/ripgd/certify.py",
+     "report.construction_gap = True",
+     "report.construction_gap = False",
+     "tests/test_certify.py::"
+     "test_pl_dual_prerequisite_failure_is_a_construction_gap"),
+    ("src/ripgd/certify.py",
+     "if count < 0:",
+     "if count < -1:",
+     "tests/test_certify.py::test_certificate_suites_refuse_negative_counts"),
+    # The sweep's stacks: zero padding and the saddle redraw replay.
+    ("src/ripgd/certify.py",
+     "Zs = np.zeros_like(Xs)",
+     "Zs = np.full_like(Xs, 0.5)",
+     "tests/test_certify.py::test_per_column_count_stacks_pad_with_zero_rows"),
+    ("src/ripgd/certify.py",
+     "rng.bit_generator.state = state",
+     "state = rng.bit_generator.state",
+     "tests/test_certify.py::test_saddle_redraw_replays_from_the_saved_state"),
+    ("src/ripgd/certify.py",
+     "    if all((np.linalg.svd(X, compute_uv=False)",
+     "    if True or all((np.linalg.svd(X, compute_uv=False)",
+     "tests/test_certify.py::test_saddle_redraw_replays_from_the_saved_state"),
+    ("src/ripgd/certify.py",
      "if X.shape != Z.shape or X.ndim != 3:",
      "if X.shape != Z.shape or X.ndim not in (2, 3):",
      "tests/test_certify.py::test_pair_checks_refuse_mismatched_shapes"),

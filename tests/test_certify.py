@@ -13,7 +13,9 @@ from ripgd.losses import (
     make_onebit_loss,
 )
 from ripgd.factored import LiftedLoss, g_grad
+from ripgd import certify
 from ripgd.certify import (
+    CertificateReport,
     vec,
     sym_mat,
     x_operator,
@@ -25,6 +27,9 @@ from ripgd.certify import (
     pl_dual_bound,
     saddle_eta0,
     run_certificate_suites,
+    _norms,
+    _saddle_stacks,
+    _stacks,
 )
 from ripgd.rip import pl_radius_sym
 
@@ -502,3 +507,177 @@ def test_run_certificate_suites_small():
     assert results["saddle_eta0"]["margin_to_third"] >= 0.0
     assert results["pl_dual"]["construction_gaps"] <= 10
     assert results["normcompare"]["count"] == 30
+
+
+def test_certificate_suites_refuse_negative_counts():
+    # A negative count is refused before any draw, naming its suite; the
+    # first one in the signature's order is named.
+    with pytest.raises(ValueError, match="^gradhessian count must be "
+                                         "nonnegative, got -3$"):
+        run_certificate_suites(gradhessian=-3, saddle=-2, normcompare=-1)
+    for suite in ("gradhessian", "saddle", "pl_dual", "normcompare"):
+        with pytest.raises(ValueError, match="^%s count must be nonnegative, "
+                                             "got -1$" % suite):
+            run_certificate_suites(**{suite: -1})
+    zero = run_certificate_suites(gradhessian=0, saddle=0, pl_dual=0,
+                                  normcompare=0)
+    assert [suite["count"] for suite in zero.values()] == [0, 0, 0, 0]
+
+
+def normcompare_sides(X, Z):
+    """sigma_r(Z)^2, ||X - Z Q||^2 and ||X X^T - Z Z^T||^2 of each pair."""
+    Z = align(X, Z)
+    sig = np.linalg.svd(Z, compute_uv=False)[:, Z.shape[-1] - 1]
+    return (sig ** 2, _norms(X - Z) ** 2,
+            _norms(X @ X.transpose(0, 2, 1) - Z @ Z.transpose(0, 2, 1)) ** 2)
+
+
+def test_per_column_count_stacks_pad_with_zero_rows():
+    # The normcompare sweep checks one stack per column count r, padding
+    # each pair with zero rows up to the stack's largest n.  Zero rows
+    # change none of the three sides of the inequality, so each pair gets
+    # the flag it gets in its stack of one shape.  The inequality is a
+    # theorem, so every flag is True; the padding itself is pinned below.
+    rng = np.random.default_rng(41)
+    pairs = []
+    for _ in range(2500):
+        n = int(rng.integers(2, 7))
+        r = int(rng.integers(1, n + 1))
+        pairs.append((rng.standard_normal((n, r)),
+                      rng.standard_normal((n, r))))
+    # Ordered by (r, n), the per-shape stacks run through the pairs in the
+    # order of the per-r stacks.
+    pairs.sort(key=lambda pair: (pair[0].shape[1], pair[0].shape[0]))
+    by_shape = _stacks(pairs, np.shape)
+    by_r = _stacks(pairs, lambda X: X.shape[1])
+    assert len(by_shape) == 20
+    assert [X.shape[1:] for X, _ in by_r] == [(6, r) for r in range(1, 7)]
+    flags = [flag for X, Z in by_shape for flag in normcompare_check(X, Z)]
+    assert [flag for X, Z in by_r for flag in normcompare_check(X, Z)] == flags
+    assert len(flags) == 2500 and all(flags)
+    padded = iter(pair for X, Z in by_r for pair in zip(X, Z))
+    for (X, Z), (Xp, Zp) in zip(pairs, padded):
+        n = len(X)
+        assert Xp[:n].tobytes() == X.tobytes()
+        assert Zp[:n].tobytes() == Z.tobytes()
+        assert not Xp[n:].any() and not Zp[n:].any()
+    exact = [np.concatenate(side) for side in zip(
+        *(normcompare_sides(X, Z) for X, Z in by_shape))]
+    for side, want in zip(zip(*(normcompare_sides(X, Z) for X, Z in by_r)),
+                          exact):
+        np.testing.assert_allclose(np.concatenate(side), want, rtol=1e-12,
+                                   atol=1e-12)
+
+
+def drawn_with_redraw(rng, count, min_sigma):
+    """The saddle pairs drawn with the redraw test per pair, and redraws."""
+    pairs = []
+    redraws = 0
+    for i in range(count):
+        n = int(rng.integers(2, 7))
+        r = int(rng.integers(1, n))
+        X = rng.standard_normal((n, r))
+        while np.linalg.svd(X, compute_uv=False)[r - 1] <= min_sigma:
+            X = rng.standard_normal((n, r))
+            redraws += 1
+        if i % 10 == 0:
+            Z = X @ rng.standard_normal((r, r))
+        else:
+            Z = rng.standard_normal((n, r))
+        pairs.append((X, Z))
+    return pairs, redraws
+
+
+def test_saddle_redraw_replays_from_the_saved_state(monkeypatch):
+    # The saddle pairs are drawn without the redraw test, which then runs
+    # once per shape stack; on a hit the generator is rewound and the pairs
+    # drawn again with the test per pair.  Either way the stacks and the
+    # generator state after them are those of the per-pair draw.  Raising
+    # the threshold forces the replay.
+    for min_sigma, hit in ((certify._SADDLE_MIN_SIGMA, False), (0.3, True)):
+        monkeypatch.setattr(certify, "_SADDLE_MIN_SIGMA", min_sigma)
+        rng = np.random.default_rng(42)
+        ref = np.random.default_rng(42)
+        stacks = _saddle_stacks(rng, 300)
+        pairs, redraws = drawn_with_redraw(ref, 300, min_sigma)
+        assert (redraws > 0) == hit
+        assert rng.bit_generator.state == ref.bit_generator.state
+        want = _stacks(pairs, np.shape)
+        assert len(stacks) == len(want)
+        for (X, Z), (Xw, Zw) in zip(stacks, want):
+            assert X.tobytes() == Xw.tobytes() and Z.tobytes() == Zw.tobytes()
+            assert X.shape == Xw.shape
+
+
+def gradhessian_instance(seed):
+    """One (loss, X, m_star, delta) drawn as the gradhessian sweep draws."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    r = int(rng.integers(1, min(2, n - 1) + 1))
+    op, delta = calibrated_operator(n, 3 * n * n,
+                                    int(rng.integers(0, 2 ** 31)))
+    z = rng.standard_normal((n, r))
+    m_star = z @ z.T
+    loss = LinearLoss(op, op.apply(m_star))
+    return loss, rng.standard_normal((n, r)), m_star, delta
+
+
+def test_hessian_bound_fails_at_delta_zero():
+    # delta = 0 claims an exact isometry, which the drawn operator is not,
+    # so (1 + delta) Xop^T Xop under-bounds the Hessian: the smallest
+    # factored Hessian eigenvalue exceeds the certificate's by 5.76.  With
+    # the operator's own delta the same point passes.
+    loss, X, m_star, delta = gradhessian_instance(47)
+    assert delta == pytest.approx(0.5903, abs=1e-4)
+    rep = verify_gradhessian(loss, X, m_star, 0.0)
+    check = rep.checks["hessian_bound"]
+    assert rep.passed is False and check["passed"] is False
+    assert check["lhs"] - check["rhs"] == pytest.approx(5.762890523579,
+                                                        rel=1e-9)
+    assert rep.checks["grad_bound"]["passed"] is True
+    assert verify_gradhessian(loss, X, m_star, delta).passed is True
+
+
+def test_grad_bound_fails_off_the_minimizer():
+    # m_star + I/2 is not the loss's minimizer, so grad f does not vanish
+    # there and the transferred gradient ||Xop^T H e|| exceeds the factored
+    # gradient norm by 3.15.  The true m_star passes at the same point.
+    loss, X, m_star, delta = gradhessian_instance(158)
+    rep = verify_gradhessian(loss, X, m_star + 0.5 * np.eye(len(X)), delta)
+    check = rep.checks["grad_bound"]
+    assert rep.passed is False and check["passed"] is False
+    assert check["lhs"] - check["rhs"] == pytest.approx(3.148720474740,
+                                                        rel=1e-9)
+    assert verify_gradhessian(loss, X, m_star, delta).passed is True
+
+
+def test_construction_gap_fails_the_report():
+    # A construction gap is not a pass, even when every check passed.
+    rep = CertificateReport(kind="pl_dual", construction_gap=True)
+    rep.add_check("dual_bound", 0.1, 0.2)
+    assert rep.checks["dual_bound"]["passed"] is True
+    assert rep.passed is False and rep.to_dict()["passed"] is False
+    rep.construction_gap = False
+    assert rep.passed is True
+
+
+def test_pl_dual_prerequisite_failure_is_a_construction_gap():
+    # Both prerequisites hold in exact arithmetic: the least-squares
+    # residual is at most ||E E^T|| <= gap^2 with E = X - Z aligned, and the
+    # minimum-norm coefficient y has X^T y symmetric, so ||Xop y||^2 >=
+    # 2 sigma_r(X)^2 ||y||^2.  They fail through lstsq's relative cut on
+    # the singular values of Xop.  Here Z has condition 2^50 and every
+    # product is exact: the cut drops the directions of X's second column,
+    # so the residual is the part [[0, 8], [8, 4]] of e, 12 against
+    # gap^2 = 5.  The input is in range: sigma_r = sigma_2(Z Z^T) = 16 and
+    # gap = sqrt(5) <= C~ = 3 < 3.64.
+    Z = np.array([[2.0 ** 52, 0.0], [0.0, 4.0], [0.0, 0.0]])
+    X = Z + np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
+    rep = pl_dual_bound(X, Z, 0.0, 3.0, 16.0)
+    check = rep.checks["residual_prereq"]
+    assert check["passed"] is False
+    assert check["lhs"] == pytest.approx(12.0, rel=1e-12)
+    assert check["rhs"] == pytest.approx(5.0, rel=1e-12)
+    assert rep.construction_gap is True
+    assert rep.passed is False
+    assert rep.checks["norm_prereq"]["passed"] is True
