@@ -68,6 +68,9 @@ def mean_hessian(loss, X, m_star, quad_points=16):
     m_star = np.asarray(m_star, dtype=float)
     M0 = X.dot(X.T)
     # Unit matrices in column-major order: basis[i] has a one at vec index i.
+    # They are not symmetric, so a loss on symmetric input only (the lift,
+    # a symmetrized operator) gives the Hessian of an extension of itself,
+    # exact against the symmetric matrices verify_gradhessian pairs it with.
     basis = np.eye(n2).reshape(n2, loss.n, loss.n).transpose(0, 2, 1)
     # A constant Hessian is built once; the weighted sum over the nodes is
     # kept so H has the same rounding as with one Gram per node.
@@ -254,6 +257,11 @@ def pl_dual_bound(X, Z, mu_prime, C_tilde, sigma_r):
     if not (report.checks["norm_prereq"]["passed"]
             and report.checks["residual_prereq"]["passed"]):
         report.construction_gap = True
+    if img_norm == 0.0:
+        # lstsq's relative cut dropped every direction e needs, so y = 0
+        # and the residual prerequisite has failed: no dual objective.
+        report.construction_gap = True
+        return report
     cos = float(e @ img / (e_norm * img_norm))
     dual_obj = (1.0 - cos + 2.0 * mu_prime * y_norm / img_norm) / (1.0 + cos)
     q1 = math.sqrt(1.0 - C_tilde ** 2 / (2.0 * (math.sqrt(2.0) - 1.0) * sigma_r))

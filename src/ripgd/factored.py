@@ -104,10 +104,8 @@ class LiftedLoss(MatrixLoss):
     N = X X^T is; there its value is scale times f(N12) + phi/4 *
     (||N11||^2 + ||N22||^2 - 2 ||N12||^2), so minimizing over N = X X^T
     with X = [U; V] recovers the asymmetric problem with balanced factors.
-    ``value``, ``grad`` and ``value_and_grad`` evaluate f once, at N12, and
-    do not check that N is symmetric.  ``hess_gram`` differentiates the
-    extension (f(N12) + f(N21^T))/2 to all N, whose value and gradient at
-    symmetric N are these.
+    Each method calls the inner loss once, at N12.  Each takes symmetric N
+    only, and ``hess_gram`` symmetric directions only; neither is checked.
 
     The balancing gradient is B = phi/2 * S * N, where the sign matrix S is
     +1 on the diagonal blocks and -1 off them; the balancing value is
@@ -168,14 +166,11 @@ class LiftedLoss(MatrixLoss):
         M = self._check(M)
         dirs = np.asarray(dirs, dtype=float)
         k = self.split
-        quad = (self.inner.hess_gram(M[:k, k:], dirs[:, :k, k:])
-                + self.inner.hess_gram(M[k:, :k].T,
-                                       dirs[:, k:, :k].transpose(0, 2, 1)))
+        quad = self.inner.hess_gram(M[:k, k:], dirs[:, :k, k:])
         # The balancing term is +phi/2 on the diagonal blocks, -phi/2 off them.
         flat = dirs.reshape(len(dirs), -1)
         return self.scale * (
-            0.5 * quad
-            + 0.5 * self.phi * ((flat * self._sign.reshape(-1)) @ flat.T))
+            quad + 0.5 * self.phi * ((flat * self._sign.reshape(-1)) @ flat.T))
 
 
 def balance_and_augment(m_star, r):

@@ -84,7 +84,7 @@ class LinearOperator:
         # A symmetrized operator's packed (p, n(n+1)/2) stack, the indices
         # that gather its input and scatter its adjoint, and the adjoint's
         # weights; see symmetrized.
-        self._packed = self._upper = self._lower = None
+        self._packed = self._upper = None
         self._weights = self._unpack = None
 
     @property
@@ -112,26 +112,20 @@ class LinearOperator:
         M = self._check_arg(M)
         if self._packed is None:
             return self.scale * self._rows.dot(M.reshape(-1))
-        # <S_i, M> is the sum over j <= k of column (j, k) times
-        # (M_jk + M_kj) / 2; the 1/2 is folded into the scale.  Gathering
-        # each triangle and adding adds the same two operands as the upper
-        # triangle of M + M^T, so the bits are those of that form for every
-        # M, without adding a C-ordered matrix to its F-ordered transpose.
-        flat = M.reshape(-1)
-        pairs = flat.take(self._upper) + flat.take(self._lower)
-        return (0.5 * self.scale) * self._packed.dot(pairs)
+        # <S_i, M> at symmetric M is the sum over j <= k of column (j, k)
+        # times M_jk.  The bits are those of half the scale times the
+        # product with the upper triangle of M + M^T: there M_jk + M_kj is
+        # 2 M_jk, and the doubling and the halving are exact.
+        return self.scale * self._packed.dot(M.reshape(-1).take(self._upper))
 
     def apply_batch(self, Ms):
         """Apply the operator to a stack of matrices, (k, n, m) -> (k, p)."""
         Ms = np.asarray(Ms, dtype=float)
         if Ms.ndim != 3 or Ms.shape[1:] != (self.n, self.m):
             raise ValueError("expected a (k, %d, %d) stack" % (self.n, self.m))
-        if self._packed is not None:
-            # <S_i, M> = <A_i, (M + M^T)/2> on the full rows; a symmetric M
-            # passes through with its bits.
-            Ms = 0.5 * (Ms + Ms.transpose(0, 2, 1))
-        # One GEMM on the flat row view; tensordot would also copy the
-        # sensing stack, transposed, on every call.
+        # One GEMM on the flat row view, also when symmetrized: <S_i, M> =
+        # <A_i, M> at symmetric M.  tensordot would also copy the sensing
+        # stack, transposed, on every call.
         flat = Ms.reshape(len(Ms), self._rows.shape[1])
         return self.scale * (flat @ self._rows.T)
 
@@ -154,14 +148,15 @@ class LinearOperator:
         return out if self._packed is None else out.symmetrized()
 
     def symmetrized(self):
-        """The map of S_i = (A_i + A_i^T)/2 on every n-by-n matrix.
+        """The map of S_i = (A_i + A_i^T)/2 on symmetric n-by-n matrices.
 
         Its stack is packed, p by n(n+1)/2: column (j, k), j <= k, holds
         A_jk + A_kj off the diagonal and A_jj on it, so ``apply`` and
         ``adjoint`` each stream half the sensing stack and the adjoint is
-        exactly symmetric.  ``apply_batch`` symmetrizes its input and runs
-        on the full rows of ``matrices``, which stays the drawn stack.  On
-        symmetric M, as every M = X X^T, the map equals this one.
+        exactly symmetric.  ``apply_batch`` runs on the full rows of
+        ``matrices``, which stays the drawn stack.  Every M = X X^T is
+        symmetric, and there the map equals this one; the input is not
+        checked, and on other M the result is not that of S_i.
         """
         n = self.n
         if self.m != n:
@@ -170,7 +165,6 @@ class LinearOperator:
         diag = j == k
         out = LinearOperator(self.matrices, scale=self.scale)
         out._upper = j * n + k
-        out._lower = k * n + j
         A = self.matrices
         # One sum over the stack, then one gather of its columns, is several
         # times faster than gathering both triangles, and keeps the stack in

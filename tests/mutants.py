@@ -118,10 +118,22 @@ MUTANTS = [
      "if False:",
      "tests/test_certify.py::test_construction_gap_fails_the_report"),
     ("src/ripgd/certify.py",
-     "report.construction_gap = True",
-     "report.construction_gap = False",
+     "[\"passed\"]):\n        report.construction_gap = True",
+     "[\"passed\"]):\n        report.construction_gap = False",
      "tests/test_certify.py::"
      "test_pl_dual_prerequisite_failure_is_a_construction_gap"),
+    ("src/ripgd/certify.py",
+     "if img_norm == 0.0:",
+     "if False:",
+     "tests/test_certify.py::test_pl_dual_empty_image_is_a_construction_gap"),
+    ("src/ripgd/certify.py",
+     "1.0 - beta * alpha",
+     "1.0 + beta * alpha",
+     "tests/test_certify.py::test_saddle_eta0_axis_pair_beta_branch"),
+    ("src/ripgd/certify.py",
+     "if beta >= alpha / (1.0 + root):",
+     "if beta <= alpha / (1.0 + root):",
+     "tests/test_certify.py::test_saddle_eta0_axis_pair_beta_branch"),
     ("src/ripgd/certify.py",
      "if count < 0:",
      "if count < -1:",
@@ -165,6 +177,10 @@ MUTANTS = [
      "val = v12 + 0.5 * np.vdot(M, B)",
      "val = 0.5 * v12 + 0.5 * np.vdot(M, B)",
      "tests/test_factored.py::test_lifted_loss_single_inner_evaluation"),
+    ("src/ripgd/factored.py",
+     "quad + 0.5 * self.phi",
+     "0.5 * quad + 0.5 * self.phi",
+     "tests/test_factored.py::test_lifted_hess_gram_single_inner_gram"),
     ("src/ripgd/losses.py",
      "self.symmetric_grad = operator._packed is not None",
      "self.symmetric_grad = True",
@@ -175,16 +191,16 @@ MUTANTS = [
      "tests/test_factored.py::test_symmetric_grad_declaration_keeps_the_bits"),
     # The packed symmetric operator.
     ("src/ripgd/losses.py",
-     "pairs = flat.take(self._upper) + flat.take(self._lower)",
-     "pairs = flat.take(self._upper) + flat.take(self._upper)",
+     "return self.scale * self._packed.dot(",
+     "return (0.5 * self.scale) * self._packed.dot(",
      "tests/test_losses.py::test_packed_apply_same_bits_as_symmetric_sum"),
     ("src/ripgd/losses.py",
      "np.where(diag, out.scale, 0.5 * out.scale)",
      "np.where(diag, out.scale, out.scale)",
      "tests/test_losses.py::test_symmetrized_operator_is_the_symmetric_part_map"),
     ("src/ripgd/losses.py",
-     "Ms = 0.5 * (Ms + Ms.transpose(0, 2, 1))",
-     "Ms = 1.0 * Ms",
+     "return self.scale * (flat @ self._rows.T)",
+     "return flat @ self._rows.T",
      "tests/test_losses.py::"
      "test_symmetrized_operator_batch_scale_and_symmetric_input"),
     ("src/ripgd/losses.py",

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -375,6 +376,22 @@ def test_saddle_eta0_axis_pair():
         saddle_eta0(X, Z, zeta=0.0, kappa=0.5)
 
 
+def test_saddle_eta0_axis_pair_beta_branch():
+    # X=e1, Z=2 e2: ||X X^T - Z Z^T|| = sqrt(17) and ||z_perp z_perp^T|| =
+    # tr(z_perp z_perp^T) = 4, so alpha = 4/sqrt(17) and beta = 1/sqrt(17),
+    # below alpha / (1 + sqrt(1 - alpha^2)) = 4/(sqrt(17) + 1): the beta
+    # branch applies, and eta0 = (3/17) / (13/17) = 3/13.
+    X = np.array([[[1.0], [0.0]]])
+    Z = np.array([[[0.0], [2.0]]])
+    rep, = saddle_eta0(X, Z)
+    assert rep.quantities["alpha"] == pytest.approx(4 / math.sqrt(17),
+                                                    rel=1e-12)
+    assert rep.quantities["beta"] == pytest.approx(1 / math.sqrt(17),
+                                                   rel=1e-12)
+    assert rep.quantities["eta0"] == pytest.approx(3 / 13, rel=1e-12)
+    assert rep.passed and not rep.special_case
+
+
 def test_saddle_eta0_range_overlap():
     # Z inside the range of X leaves no perpendicular part; the level
     # collapses to zero as a recorded special case.
@@ -681,3 +698,20 @@ def test_pl_dual_prerequisite_failure_is_a_construction_gap():
     assert rep.construction_gap is True
     assert rep.passed is False
     assert rep.checks["norm_prereq"]["passed"] is True
+
+
+def test_pl_dual_empty_image_is_a_construction_gap():
+    # The same Z with X = Z + [[0, 0], [0, 0], [0, 2]]: lstsq's relative
+    # cut drops every direction e = [[0, 8], [8, 4]] needs, so y = 0 and
+    # ||Xop y|| = 0.  The residual 12 exceeds gap^2 = 4, and the report is
+    # a construction gap, without a division by the empty image.
+    Z = np.array([[2.0 ** 52, 0.0], [0.0, 4.0], [0.0, 0.0]])
+    X = Z + np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rep = pl_dual_bound(X, Z, 0.0, 3.0, 16.0)
+    assert seen == []
+    assert rep.construction_gap is True
+    assert rep.passed is False
+    assert rep.checks["residual_prereq"]["passed"] is False
+    assert "dual_bound" not in rep.checks

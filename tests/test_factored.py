@@ -332,12 +332,16 @@ def test_lifted_loss_fd():
 
 
 class CountingLoss(MatrixLoss):
-    """Inner loss that counts its value_and_grad and grad calls."""
+    """Inner loss that counts its value_and_grad, grad and hess_gram calls."""
 
     def __init__(self, inner):
         self.inner = inner
         self.n, self.m = inner.n, inner.m
         self.calls = 0
+
+    def hess_gram(self, M, dirs):
+        self.calls += 1
+        return self.inner.hess_gram(M, dirs)
 
     def value_and_grad(self, M):
         self.calls += 1
@@ -393,6 +397,41 @@ def test_lifted_loss_single_inner_evaluation():
     counted.calls = 0
     np.testing.assert_array_equal(lifted.grad(N), want_g)
     assert counted.calls == 1
+
+
+def two_gram_lift(lifted, M, dirs):
+    """Lifted Hessian Gram of the extension (f(N12) + f(N21^T))/2 to all N.
+
+    It runs the inner Gram on both off-diagonal blocks and halves the sum.
+    """
+    k, inner = lifted.split, lifted.inner
+    quad = (inner.hess_gram(M[:k, k:], dirs[:, :k, k:])
+            + inner.hess_gram(M[k:, :k].T, dirs[:, k:, :k].transpose(0, 2, 1)))
+    flat = dirs.reshape(len(dirs), -1)
+    return lifted.scale * (
+        0.5 * quad
+        + 0.5 * lifted.phi * ((flat * lifted._sign.reshape(-1)) @ flat.T))
+
+
+def test_lifted_hess_gram_single_inner_gram():
+    # At symmetric N and directions the two blocks give the same inner
+    # Gram Q, and (Q + Q)/2 is Q exactly: one inner Gram keeps the bits.
+    rng = np.random.default_rng(19)
+    for inner in (make_onebit_loss(rng.standard_normal((3, 3))),
+                  LinearLoss(make_gaussian_operator(4, 3, 20, seed=6),
+                             rng.standard_normal(20))):
+        counted = CountingLoss(inner)
+        lifted = LiftedLoss(counted, 0.3)
+        for r in (1, 2, 4):
+            X = rng.standard_normal((lifted.n, r))
+            N = X @ X.T
+            K = rng.standard_normal((3, lifted.n, lifted.n))
+            for dirs in (_basis_images(X), K + K.transpose(0, 2, 1)):
+                counted.calls = 0
+                G = lifted.hess_gram(N, dirs)
+                assert counted.calls == 1
+                want = two_gram_lift(LiftedLoss(inner, 0.3), N, dirs)
+                assert G.tobytes() == want.tobytes()
 
 
 # Prints the lifted value and gradient bits at fig1b's shapes: a 10x8 inner

@@ -101,10 +101,16 @@ def test_operator_rows_follow_noncontiguous_input():
         op.apply(M), np.tensordot(mats, M, axes=([1, 2], [0, 1])))
 
 
+def symmetric(rng, n):
+    """A full-rank symmetric n-by-n matrix, bit-symmetric."""
+    A = rng.standard_normal((n, n))
+    return A + A.T
+
+
 def test_symmetrized_operator_is_the_symmetric_part_map():
-    # The packed operator is the map of S_i = (A_i + A_i^T)/2 on every
-    # n-by-n input, symmetric or not; a gather of the upper triangle alone
-    # would be wrong on a non-symmetric M.
+    # The packed operator is the map of S_i = (A_i + A_i^T)/2 on symmetric
+    # n-by-n input, which is all it takes: its apply gathers the upper
+    # triangle alone.
     rng = np.random.default_rng(5)
     for n, p in ((1, 3), (4, 9), (40, 120)):
         op = make_gaussian_operator(n, n, p, seed=n).with_scale(0.37)
@@ -114,7 +120,7 @@ def test_symmetrized_operator_is_the_symmetric_part_map():
         assert packed._packed.flags.c_contiguous
         S = 0.5 * (op.matrices + op.matrices.transpose(0, 2, 1))
         z = rng.standard_normal((n, 2))
-        for M in (rng.standard_normal((n, n)), z @ z.T):
+        for M in (symmetric(rng, n), z @ z.T):
             want = op.scale * np.tensordot(S, M, axes=([1, 2], [0, 1]))
             np.testing.assert_allclose(packed.apply(M), want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
@@ -126,16 +132,18 @@ def test_symmetrized_operator_is_the_symmetric_part_map():
         # Both triangles read the same entries: bit-symmetric.
         assert W.tobytes() == np.ascontiguousarray(W.T).tobytes()
         # <apply(M), v> = <M, adjoint(v)>
-        M = rng.standard_normal((n, n))
+        M = symmetric(rng, n)
         lhs = packed.apply(M) @ v
         assert abs(lhs - np.sum(M * W)) < 1e-12 * max(1.0, abs(lhs))
         # apply and adjoint call ndarray.dot; the `@` forms give the bits.
-        upper = (M + M.T).reshape(-1)[packed._upper]
+        upper = M.reshape(-1)[packed._upper]
         assert packed.apply(M).tobytes() == (
-            (0.5 * op.scale) * (packed._packed @ upper)).tobytes()
-        half = np.where(packed._upper == packed._lower, 1.0, 0.5)
+            op.scale * (packed._packed @ upper)).tobytes()
+        j, k = np.triu_indices(n)
+        half = np.where(j == k, 1.0, 0.5)
         w = (v @ packed._packed) * (op.scale * half)
         assert W.tobytes() == w[packed._unpack].reshape(n, n).tobytes()
+        M = rng.standard_normal((n, n))
         assert op.apply(M).tobytes() == (
             op.scale * (op._rows @ M.reshape(-1))).tobytes()
         assert op.adjoint(v).tobytes() == (
@@ -147,6 +155,7 @@ def test_symmetrized_operator_batch_scale_and_symmetric_input():
     op = make_gaussian_operator(5, 5, 17, seed=2).with_scale(0.61)
     packed = op.symmetrized()
     Ms = rng.standard_normal((4, 5, 5))
+    Ms = Ms + Ms.transpose(0, 2, 1)
     Zs = rng.standard_normal((4, 5, 2))
     sym = Zs @ Zs.transpose(0, 2, 1)
     for stack in (Ms, sym):
@@ -154,11 +163,12 @@ def test_symmetrized_operator_batch_scale_and_symmetric_input():
         for k in range(len(stack)):
             np.testing.assert_allclose(batch[k], packed.apply(stack[k]),
                                        rtol=1e-12)
-    # On symmetric input the batch runs on the drawn rows with their bits,
-    # and the packed map equals the drawn one.
-    assert packed.apply_batch(sym).tobytes() == op.apply_batch(sym).tobytes()
-    for M in sym:
-        np.testing.assert_allclose(packed.apply(M), op.apply(M), rtol=1e-12)
+            np.testing.assert_allclose(packed.apply(stack[k]),
+                                       op.apply(stack[k]), rtol=1e-12)
+        # The batch runs on the drawn rows with their bits, and on
+        # symmetric input the packed map equals the drawn one.
+        assert packed.apply_batch(stack).tobytes() == op.apply_batch(
+            stack).tobytes()
     # with_scale keeps the packed form: it is the operator that
     # symmetrized() builds at the new scale.
     scaled = packed.with_scale(2.0)
@@ -173,19 +183,34 @@ def test_symmetrized_operator_batch_scale_and_symmetric_input():
         make_gaussian_operator(3, 4, 5, seed=0).symmetrized()
 
 
+def both_triangle_apply(packed, M):
+    """The packed map of S_i on every M, symmetric or not.
+
+    It gathers both triangles of M and adds them, which adds the operands
+    of the upper triangle of M + M^T, and folds the 1/2 into the scale.
+    """
+    n = len(M)
+    j, k = np.triu_indices(n)
+    flat = M.reshape(-1)
+    pairs = flat.take(j * n + k) + flat.take(k * n + j)
+    return (0.5 * packed.scale) * packed._packed.dot(pairs)
+
+
 def test_packed_apply_same_bits_as_symmetric_sum():
-    # apply gathers both triangles and adds them; that adds the operands of
-    # the upper triangle of M + M^T, so the bits match on every M.
+    # apply gathers the upper triangle alone.  On a bit-symmetric M that
+    # gives the bits of the both-triangle form: M_jk + M_kj = 2 M_jk,
+    # P (2u) = 2 (P u) and (s/2) (2y) = s y are all exact.
     rng = np.random.default_rng(7)
     for n, p in ((1, 3), (4, 9), (40, 120)):
-        packed = make_gaussian_operator(n, n, p, seed=n).with_scale(
-            0.37).symmetrized()
-        z = rng.standard_normal((n, 3))
-        for M in (rng.standard_normal((n, n)), z @ z.T,
-                  np.asfortranarray(rng.standard_normal((n, n)))):
-            upper = (M + M.T).reshape(-1)[packed._upper]
-            want = (0.5 * packed.scale) * packed._packed.dot(upper)
-            assert packed.apply(M).tobytes() == want.tobytes()
+        op = make_gaussian_operator(n, n, p, seed=n)
+        for scale in (1e-4, 0.37, 1e3):
+            packed = op.with_scale(scale).symmetrized()
+            for r in (1, 2, 3):
+                X = rng.standard_normal((n, r))
+                for M in (X.dot(X.T), X @ X.T,
+                          np.asfortranarray(X.dot(X.T))):
+                    want = both_triangle_apply(packed, M)
+                    assert packed.apply(M).tobytes() == want.tobytes()
 
 
 def test_packed_with_scale_adjoint_same_bits_as_fresh_operator():
@@ -197,12 +222,12 @@ def test_packed_with_scale_adjoint_same_bits_as_fresh_operator():
         for s in (2.0, 0.37, 1e-3):
             scaled = packed.with_scale(s)
             fresh = op.with_scale(s).symmetrized()
-            for name in ("_packed", "_upper", "_lower", "_weights", "_unpack"):
+            for name in ("_packed", "_upper", "_weights", "_unpack"):
                 assert getattr(scaled, name).tobytes() == getattr(
                     fresh, name).tobytes()
             v = rng.standard_normal(p)
             assert scaled.adjoint(v).tobytes() == fresh.adjoint(v).tobytes()
-            M = rng.standard_normal((n, n))
+            M = symmetric(rng, n)
             assert scaled.apply(M).tobytes() == fresh.apply(M).tobytes()
 
 
@@ -260,7 +285,7 @@ def test_sensing_stacks_are_cache_line_aligned_and_keep_the_bits():
         assert address(off) % 64 == 16
         shifted = packed.with_scale(0.37)
         shifted._packed = off
-        M, v = rng.standard_normal((n, n)), rng.standard_normal(p)
+        M, v = symmetric(rng, n), rng.standard_normal(p)
         assert shifted.apply(M).tobytes() == packed.apply(M).tobytes()
         assert shifted.adjoint(v).tobytes() == packed.adjoint(v).tobytes()
 
