@@ -60,8 +60,8 @@ def _norm(a):
 class LinearOperator:
     """Linear sensing map M -> scale * (<A_1, M>, ..., <A_p, M>).
 
-    ``symmetrized`` gives the map of S_i = (A_i + A_i^T)/2 instead, which
-    agrees with this one on every symmetric M and stores half the stack.
+    ``symmetrized`` gives the map of S_i = (A_i + A_i^T)/2 on symmetric M
+    only, unchecked; it equals this one there and stores half the stack.
     """
 
     def __init__(self, matrices, scale=1.0):

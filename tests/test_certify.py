@@ -702,8 +702,8 @@ def test_pl_dual_prerequisite_failure_is_a_construction_gap():
 
 def test_pl_dual_empty_image_is_a_construction_gap():
     # The same Z with X = Z + [[0, 0], [0, 0], [0, 2]]: lstsq's relative
-    # cut drops every direction e = [[0, 8], [8, 4]] needs, so y = 0 and
-    # ||Xop y|| = 0.  The residual 12 exceeds gap^2 = 4, and the report is
+    # cut drops every direction that e, nonzero only in its lower 2-by-2
+    # block [[0, 8], [8, 4]], needs, so y = 0 and ||Xop y|| = 0.  The residual 12 exceeds gap^2 = 4, and the report is
     # a construction gap, without a division by the empty image.
     Z = np.array([[2.0 ** 52, 0.0], [0.0, 4.0], [0.0, 0.0]])
     X = Z + np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
