@@ -11,6 +11,9 @@ import numpy as np
 from .losses import MatrixLoss, _check_dense, check_rank
 from .rip import lift_delta
 
+# The pad of LiftedLoss's inner gradient: x + (-0.0) is x, bit for bit.
+_NEG_ZERO = np.array([-0.0])
+
 
 def _check_factor(loss, X):
     X = np.asarray(X, dtype=float)
@@ -28,7 +31,9 @@ def _factor_grad(loss, W, X):
     and doubling is exact, so both forms give the same bits.
     """
     if loss.symmetric_grad:
-        return 2.0 * W.dot(X)
+        G = W.dot(X)
+        G *= 2.0
+        return G
     return (W + W.T).dot(X)
 
 
@@ -111,12 +116,13 @@ class LiftedLoss(MatrixLoss):
     +1 on the diagonal blocks and -1 off them; the balancing value is
     <N, B> / 2, one signed sum over the whole matrix, which rounds
     differently from four block sums only in the last bits.  The inner
-    gradient g at N12 is added to the off-diagonal blocks of B as g/2 and
-    its transpose, which gives the same bits as g/2 - phi/2 * N12 because
-    a + (-b) rounds exactly as a - b does.  The scale multiplies each
-    result last.  At a bit-symmetric M the balancing part is symmetric, so
-    the gradient is bit-symmetric whatever the inner loss:
-    ``symmetric_grad`` holds.
+    gradient g at N12 enters as one add of the padded matrix
+    [[-0.0, g/2], [g/2^T, -0.0]] to B: off the diagonal blocks that gives
+    the bits of g/2 - phi/2 * N12, as a + (-b) rounds exactly as a - b
+    does, and on them x + (-0.0) is x, signed zeros included (+0.0 would
+    turn -0.0 into +0.0).  The scale multiplies B last, in place.  At a
+    bit-symmetric M the balancing part is symmetric, so the gradient is
+    bit-symmetric whatever the inner loss: ``symmetric_grad`` holds.
     """
 
     symmetric_grad = True
@@ -133,15 +139,19 @@ class LiftedLoss(MatrixLoss):
         self._sign = np.ones((self.n, self.n))
         self._sign[:k, k:] = self._sign[k:, :k] = -1.0
         self._half_phi_sign = 0.5 * self.phi * self._sign
+        # Gathers the padded matrix from the flat inner gradient followed by
+        # one -0.0, at index k*m: g on the top-right block, g^T below.
+        top = np.arange(k * inner.m).reshape(k, inner.m)
+        self._pad = np.full((self.n, self.n), top.size)
+        self._pad[:k, k:], self._pad[k:, :k] = top, top.T
 
-    def _add_inner(self, B, g12):
-        """Add the inner gradient at N12 to both off-diagonal blocks of B."""
-        k = self.split
-        top, bottom = B[:k, k:], B[k:, :k]
-        half = 0.5 * g12
-        top += half
-        # (0.5 g)^T holds the bits of 0.5 g^T.
-        bottom += half.T
+    def _gradient(self, B, g12):
+        """scale * (B + [[-0.0, g/2], [g/2^T, -0.0]]), in the fresh B."""
+        P = np.concatenate((g12.reshape(-1), _NEG_ZERO)).take(self._pad)
+        # Halving keeps the -0.0, and 0.5 * g^T is (0.5 g)^T.
+        P *= 0.5
+        B += P
+        B *= self.scale
         return B
 
     def value(self, M):
@@ -152,7 +162,7 @@ class LiftedLoss(MatrixLoss):
         # would discard the inner value and the balancing sum.
         M = self._check(M)
         g12 = self.inner.grad(M[:self.split, self.split:])
-        return self.scale * self._add_inner(self._half_phi_sign * M, g12)
+        return self._gradient(self._half_phi_sign * M, g12)
 
     def value_and_grad(self, M):
         M = self._check(M)
@@ -160,7 +170,7 @@ class LiftedLoss(MatrixLoss):
         B = self._half_phi_sign * M
         # At symmetric M, (f(N12) + f(N21^T)) / 2 is exactly f(N12).
         val = v12 + 0.5 * np.vdot(M, B)
-        return self.scale * float(val), self.scale * self._add_inner(B, g12)
+        return self.scale * float(val), self._gradient(B, g12)
 
     def hess_gram(self, M, dirs):
         M = self._check(M)

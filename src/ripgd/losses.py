@@ -76,32 +76,23 @@ class LinearOperator:
         if not scale > 0:
             raise ValueError("operator scale must be positive")
         self.matrices = matrices
+        self.p, self.n, self.m = matrices.shape
         self.scale = float(scale)
         # (p, n*m) view: apply and adjoint are single matrix-vector products.
         # They call ndarray.dot, which reaches the same BLAS routine as `@`
         # without the matmul ufunc's dispatch, so the bits are the same.
         self._rows = matrices.reshape(matrices.shape[0], -1)
+        # The argument shapes of apply and adjoint, compared on every call.
+        self._in_shape, self._out_shape = matrices.shape[1:], matrices.shape[:1]
         # A symmetrized operator's packed (p, n(n+1)/2) stack, the indices
         # that gather its input and scatter its adjoint, and the adjoint's
         # weights; see symmetrized.
         self._packed = self._upper = None
         self._weights = self._unpack = None
 
-    @property
-    def p(self):
-        return self.matrices.shape[0]
-
-    @property
-    def n(self):
-        return self.matrices.shape[1]
-
-    @property
-    def m(self):
-        return self.matrices.shape[2]
-
     def _check_arg(self, M):
         M = np.asarray(M, dtype=float)
-        if M.shape != (self.n, self.m):
+        if M.shape != self._in_shape:
             raise ValueError(
                 "argument shape %s does not match operator shape (%d, %d)"
                 % (M.shape, self.n, self.m)
@@ -111,17 +102,20 @@ class LinearOperator:
     def apply(self, M):
         M = self._check_arg(M)
         if self._packed is None:
-            return self.scale * self._rows.dot(M.reshape(-1))
-        # <S_i, M> at symmetric M is the sum over j <= k of column (j, k)
-        # times M_jk.  The bits are those of half the scale times the
-        # product with the upper triangle of M + M^T: there M_jk + M_kj is
-        # 2 M_jk, and the doubling and the halving are exact.
-        return self.scale * self._packed.dot(M.reshape(-1).take(self._upper))
+            out = self._rows.dot(M.reshape(-1))
+        else:
+            # <S_i, M> at symmetric M is the sum over j <= k of column (j, k)
+            # times M_jk.  The bits are those of half the scale times the
+            # product with the upper triangle of M + M^T: there M_jk + M_kj
+            # is 2 M_jk, and the doubling and the halving are exact.
+            out = self._packed.dot(M.reshape(-1).take(self._upper))
+        out *= self.scale
+        return out
 
     def apply_batch(self, Ms):
         """Apply the operator to a stack of matrices, (k, n, m) -> (k, p)."""
         Ms = np.asarray(Ms, dtype=float)
-        if Ms.ndim != 3 or Ms.shape[1:] != (self.n, self.m):
+        if Ms.ndim != 3 or Ms.shape[1:] != self._in_shape:
             raise ValueError("expected a (k, %d, %d) stack" % (self.n, self.m))
         # One GEMM on the flat row view, also when symmetrized: <S_i, M> =
         # <A_i, M> at symmetric M.  tensordot would also copy the sensing
@@ -131,16 +125,18 @@ class LinearOperator:
 
     def adjoint(self, v):
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.p,):
+        if v.shape != self._out_shape:
             raise ValueError("adjoint argument must be a length-%d vector" % self.p)
         if self._packed is None:
-            return self.scale * v.dot(self._rows).reshape(self.n, self.m)
+            w = v.dot(self._rows)
+            w *= self.scale
+            return w.reshape(self._in_shape)
         # sum_i v_i S_i: its upper triangle is the packed product, halved
         # off the diagonal, and both triangles read the same entries.  The
         # weights are formed once, by symmetrized.
         w = v.dot(self._packed)
         w *= self._weights
-        return w[self._unpack].reshape(self.n, self.n)
+        return w[self._unpack].reshape(self._in_shape)
 
     def with_scale(self, scale):
         """Copy at another scale; a symmetrized operator is symmetrized anew."""
@@ -260,7 +256,8 @@ class LinearLoss(MatrixLoss):
         return self.operator.adjoint(self.operator.apply(M) - self.d)
 
     def value_and_grad(self, M):
-        res = self.operator.apply(M) - self.d
+        res = self.operator.apply(M)
+        res -= self.d
         return 0.5 * float(res.dot(res)), self.operator.adjoint(res)
 
     def hess_gram(self, M, dirs):

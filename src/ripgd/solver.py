@@ -214,7 +214,9 @@ def _descend(problem, X, eta, max_iters, eps_target, tol=None, params=None,
                 # to the plain descent phase.
                 X, val, grad, gn, N = saved
                 phase = 2
-        dist = _norm(N - m_star)
+        # In place: nothing reads this step's N again, nor a restored N,
+        # since the one restore ends phase 1 and ``saved`` with it.
+        dist = _norm(np.subtract(N, m_star, out=N))
         if not (math.isfinite(val) and math.isfinite(gn)):
             raise ValueError("non-finite objective or gradient at iteration %d" % t)
         rows.append((t, val, gn, dist, dist < radius, perturbed, phase))

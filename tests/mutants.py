@@ -33,6 +33,11 @@ MUTANTS = [
      "mask = trace.f <= trace.f[0]",
      "mask = trace.f < trace.f[0]",
      "tests/test_solver.py::test_level_set_violation_known_excess"),
+    ("src/ripgd/solver.py",
+     "kept = ~trace.perturbed[1:] & (",
+     "kept = (",
+     "tests/test_solver.py::"
+     "test_descent_violation_skips_perturbations_and_phase_switches"),
     # Input guards.
     ("src/ripgd/cli.py",
      "if not 0 < self.gamma <= 1:",
@@ -102,6 +107,14 @@ MUTANTS = [
      "Z = 1.0 * Z",
      "tests/test_certify.py::test_normcompare"),
     ("src/ripgd/certify.py",
+     "e ** 2 / (2.0 * (math.sqrt(2.0) - 1.0))",
+     "e ** 2 / (1.001 * 2.0 * (math.sqrt(2.0) - 1.0))",
+     "tests/test_certify.py::test_normcompare_check_equality_case"),
+    ("src/ripgd/certify.py",
+     " - 1.0)) + 1e-10",
+     " - 1.0))",
+     "tests/test_certify.py::test_normcompare_check_equality_case"),
+    ("src/ripgd/certify.py",
      "q2 = math.sqrt(2.0) * mu_prime / (math.sqrt(sigma_r) - C_tilde)",
      "q2 = mu_prime / (math.sqrt(sigma_r) - C_tilde)",
      "tests/test_acceptance.py::test_golden_certify_report"),
@@ -170,9 +183,17 @@ MUTANTS = [
      "out = np.full((r, n, n, n), -0.0)",
      "tests/test_factored.py::test_basis_images_same_bits_as_loop"),
     ("src/ripgd/factored.py",
-     "bottom += half.T",
-     "bottom -= half.T",
+     "B += P",
+     "B -= P",
      "tests/test_factored.py::test_lifted_loss_single_inner_evaluation"),
+    ("src/ripgd/factored.py",
+     "self._pad[k:, :k] = top, top.T",
+     "self._pad[k:, :k] = top, top.reshape(inner.m, k)",
+     "tests/test_factored.py::test_lifted_loss_single_inner_evaluation"),
+    ("src/ripgd/factored.py",
+     "_NEG_ZERO = np.array([-0.0])",
+     "_NEG_ZERO = np.array([0.0])",
+     "tests/test_factored.py::test_lifted_loss_keeps_signed_zeros"),
     ("src/ripgd/factored.py",
      "val = v12 + 0.5 * np.vdot(M, B)",
      "val = 0.5 * v12 + 0.5 * np.vdot(M, B)",
@@ -189,10 +210,14 @@ MUTANTS = [
      "self.symmetric_grad = bool(np.array_equal(y, y.T))",
      "self.symmetric_grad = True",
      "tests/test_factored.py::test_symmetric_grad_declaration_keeps_the_bits"),
+    ("src/ripgd/solver.py",
+     "np.subtract(N, m_star, out=N)",
+     "np.subtract(N, m_star, out=m_star)",
+     "tests/test_solver.py::test_in_place_distance_keeps_truth_and_start"),
     # The packed symmetric operator.
     ("src/ripgd/losses.py",
-     "return self.scale * self._packed.dot(",
-     "return (0.5 * self.scale) * self._packed.dot(",
+     "out = self._packed.dot(",
+     "out = 0.5 * self._packed.dot(",
      "tests/test_losses.py::test_packed_apply_same_bits_as_symmetric_sum"),
     ("src/ripgd/losses.py",
      "np.where(diag, out.scale, 0.5 * out.scale)",

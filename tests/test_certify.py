@@ -303,6 +303,16 @@ def test_normcompare():
     assert normcompare_check(x, -x) == [True]
 
 
+def test_normcompare_check_equality_case():
+    # X = [0; a] with a^2 = sqrt(2) - 1 and Z = e1: sigma_r(Z)^2 = 1,
+    # ||X - Z||^2 = 1 + a^2 = sqrt(2) and ||X X^T - Z Z^T||^2 = 1 + a^4 =
+    # 2 (sqrt(2) - 1) sqrt(2), so both sides are sqrt(2).  In floating point
+    # the left one is 2.2e-16 larger, and the 1e-10 tolerance passes it.
+    X = np.array([[[0.0], [math.sqrt(math.sqrt(2.0) - 1.0)]]])
+    Z = np.array([[[1.0], [0.0]]])
+    assert normcompare_check(X, Z) == [True]
+
+
 def test_pl_dual_bound_random():
     rng = np.random.default_rng(17)
     gaps = 0

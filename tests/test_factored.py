@@ -399,6 +399,29 @@ def test_lifted_loss_single_inner_evaluation():
     assert counted.calls == 1
 
 
+def test_lifted_loss_keeps_signed_zeros():
+    # The padded add puts -0.0 on the diagonal blocks, and x + (-0.0) is x
+    # for x = -0.0 and +0.0 alike, so signed zeros there keep the
+    # two-block reference's bits, sign bits included.
+    rng = np.random.default_rng(20)
+    base = LinearLoss(make_gaussian_operator(10, 8, 220, seed=9),
+                      rng.standard_normal(220))
+    lifted = LiftedLoss(base, 0.2)
+    X = rng.standard_normal((18, 5))
+    N = X @ X.T
+    for i, j, zero in ((0, 0, -0.0), (1, 4, -0.0), (3, 3, 0.0),
+                       (12, 15, -0.0), (11, 10, 0.0), (17, 17, -0.0)):
+        N[i, j] = N[j, i] = zero
+    lift = lifted.phi, lifted.scale
+    want_v, want_g = two_evaluation_lift(base, *lift, N)
+    assert np.signbit(want_g[0, 0]) and not np.signbit(want_g[3, 3])
+    v, g = lifted.value_and_grad(N)
+    assert abs(v - want_v) <= lift_rounding(want_v, *lift, N)
+    for got in (g, lifted.grad(N)):
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want_g))
+        assert got.tobytes() == want_g.tobytes()
+
+
 def two_gram_lift(lifted, M, dirs):
     """Lifted Hessian Gram of the extension (f(N12) + f(N21^T))/2 to all N.
 

@@ -411,6 +411,22 @@ def test_perturbed_gd_matches_reference_loop(saddle_run):
     assert_same_trace(trace, ref)
 
 
+def test_in_place_distance_keeps_truth_and_start(saddle_run):
+    # The distance is taken in place in each step's N, also after the
+    # restore of a saved N; every row keeps the bits of the reference's
+    # np.linalg.norm(X X^T - m_star), and neither m_star nor x0 is written.
+    problem, params, _ = saddle_run
+    x0 = np.zeros((1, 1))
+    run = perturbed_gd(problem, x0, params, eps_target=1e-6, max_iters=20000,
+                       seed=3)
+    assert run.perturbed.any() and run.phase2_start
+    ref = descend_reference(problem, np.zeros((1, 1)), params.eta, 20000,
+                            1e-6, params=params, seed=3)
+    assert run.dist.tobytes() == ref.dist.tobytes()
+    assert problem.m_star.tobytes() == np.ones((1, 1)).tobytes()
+    assert x0.tobytes() == np.zeros((1, 1)).tobytes()
+
+
 def test_gradient_descent_one_loss_evaluation_per_step(monkeypatch):
     problem, x0 = onebit_problem()
     calls = []
