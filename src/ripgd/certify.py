@@ -327,10 +327,6 @@ def saddle_eta0(X, Z, zeta=None, kappa=None):
     return reports
 
 
-# The saddle sweep redraws an X whose sigma_r is at most this.
-_SADDLE_MIN_SIGMA = 1e-3
-
-
 def _stacks(pairs, key):
     """The (X, Z) pairs as stacks, one per ``key(X)``, in order within each.
 
@@ -350,46 +346,6 @@ def _stacks(pairs, key):
             Zs[i, :len(Z)] = Z
         stacks.append((Xs, Zs))
     return stacks
-
-
-def _saddle_pairs(rng, count, redraw):
-    """The saddle sweep's pairs, drawn one at a time in a fixed order.
-
-    With ``redraw``, each X is redrawn while its sigma_r is at most
-    _SADDLE_MIN_SIGMA; without it, every X is kept.
-    """
-    pairs = []
-    for i in range(count):
-        n = int(rng.integers(2, 7))
-        r = int(rng.integers(1, n))
-        X = rng.standard_normal((n, r))
-        while redraw and (np.linalg.svd(X, compute_uv=False)[r - 1]
-                          <= _SADDLE_MIN_SIGMA):
-            X = rng.standard_normal((n, r))
-        if i % 10 == 0:
-            # Exercise the rank-overlap branch where Z lies in the range of X.
-            Z = X @ rng.standard_normal((r, r))
-        else:
-            Z = rng.standard_normal((n, r))
-        pairs.append((X, Z))
-    return pairs
-
-
-def _saddle_stacks(rng, count):
-    """The saddle sweep's pairs as stacks, one per shape (n, r).
-
-    The pairs are drawn without the redraw test, which then runs once per
-    stack.  If any X fails it, the generator is rewound and the pairs are
-    drawn again with the test per pair.  Both ways give the same pairs and
-    leave the generator in the same state.
-    """
-    state = rng.bit_generator.state
-    stacks = _stacks(_saddle_pairs(rng, count, redraw=False), np.shape)
-    if all((np.linalg.svd(X, compute_uv=False)[:, X.shape[2] - 1]
-            > _SADDLE_MIN_SIGMA).all() for X, _ in stacks):
-        return stacks
-    rng.bit_generator.state = state
-    return _stacks(_saddle_pairs(rng, count, redraw=True), np.shape)
 
 
 def run_certificate_suites(seed=0, gradhessian=100, saddle=500, pl_dual=200,
@@ -435,11 +391,22 @@ def run_certificate_suites(seed=0, gradhessian=100, saddle=500, pl_dual=200,
         "min_margin": float(min(margins)) if margins else None,
     }
 
+    pairs = []
+    for i in range(saddle):
+        n = int(rng.integers(2, 7))
+        r = int(rng.integers(1, n))
+        X = rng.standard_normal((n, r))
+        if i % 10 == 0:
+            # Exercise the rank-overlap branch where Z lies in the range of X.
+            Z = X @ rng.standard_normal((r, r))
+        else:
+            Z = rng.standard_normal((n, r))
+        pairs.append((X, Z))
     # The saddle pairs are checked with one stacked call per shape; a
     # suite's outcome is the same in any order.
     worst_eta0 = 0.0
     failures = 0
-    for X, Z in _saddle_stacks(rng, saddle):
+    for X, Z in _stacks(pairs, np.shape):
         distinct = _norms(X @ _t(X) - Z @ _t(Z)) > 1e-8
         for rep in saddle_eta0(X[distinct], Z[distinct]):
             failures += 0 if rep.passed else 1

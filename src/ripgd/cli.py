@@ -126,6 +126,13 @@ class ExperimentConfig:
             raise ValueError("n and m must be positive")
         if not 1 <= self.r <= min(self.n, self.m):
             raise ValueError("r must lie in [1, min(n, m)]")
+        # The truth is n x n (the 1-bit build forms it densely) and the
+        # lifted asym-linear loss builds (n+m) x (n+m) matrices.
+        side = self.n + self.m if self.kind == "asym-linear" else self.n
+        try:
+            _check_dense(side * side)
+        except ValueError as exc:
+            raise ValueError("config keys n, m: %s" % exc) from None
         if self.kind == "onebit":
             if self.p is not None:
                 raise ValueError("onebit observes every entry; drop p")

@@ -185,6 +185,9 @@ def _descend(problem, X, eta, max_iters, eps_target, tol=None, params=None,
     after ``max_iters`` steps.  A non-finite objective or gradient raises
     before its row is recorded.
     """
+    if not -math.inf < max_iters < math.inf:
+        # t >= max_iters would never hold, and the rows would grow forever.
+        raise ValueError("max_iters must be finite, got %r" % (max_iters,))
     loss, m_star = problem.loss, problem.m_star
     radius = rip.local_region_sym(problem.delta, problem.sigma_r)
     phase = 2 if params is None else 1

@@ -29,7 +29,6 @@ from ripgd.certify import (
     saddle_eta0,
     run_certificate_suites,
     _norms,
-    _saddle_stacks,
     _stacks,
 )
 from ripgd.rip import pl_radius_sym
@@ -421,17 +420,24 @@ def test_saddle_eta0_identical_error():
 
 
 def test_saddle_eta0_random_bound():
+    # The bound holds for any X, including the nearly and exactly
+    # rank-deficient ones the certificate sweep may draw and checks as drawn.
     rng = np.random.default_rng(21)
-    for _ in range(100):
-        n = int(rng.integers(2, 7))
-        r = int(rng.integers(1, n))
-        X = rng.standard_normal((n, r))
-        Z = rng.standard_normal((n, r))
-        if np.linalg.norm(X @ X.T - Z @ Z.T) <= 1e-8:
-            continue
-        rep, = saddle_eta0(X[None], Z[None])
-        assert rep.quantities["eta0"] <= 1.0 / 3.0 + 1e-8
-        assert rep.passed
+    for sigma_r in (None, 1e-3, 1e-8, 0.0):
+        for _ in range(100):
+            n = int(rng.integers(2, 7))
+            r = int(rng.integers(1, n))
+            X = rng.standard_normal((n, r))
+            Z = rng.standard_normal((n, r))
+            if sigma_r is not None:
+                U, s, Vt = np.linalg.svd(X, full_matrices=False)
+                s[-1] = sigma_r
+                X = (U * s) @ Vt
+            if np.linalg.norm(X @ X.T - Z @ Z.T) <= 1e-8:
+                continue
+            rep, = saddle_eta0(X[None], Z[None])
+            assert rep.quantities["eta0"] <= 1.0 / 3.0 + 1e-8
+            assert rep.passed
 
 
 def _stacks_of_every_shape():
@@ -594,46 +600,6 @@ def test_per_column_count_stacks_pad_with_zero_rows():
                           exact):
         np.testing.assert_allclose(np.concatenate(side), want, rtol=1e-12,
                                    atol=1e-12)
-
-
-def drawn_with_redraw(rng, count, min_sigma):
-    """The saddle pairs drawn with the redraw test per pair, and redraws."""
-    pairs = []
-    redraws = 0
-    for i in range(count):
-        n = int(rng.integers(2, 7))
-        r = int(rng.integers(1, n))
-        X = rng.standard_normal((n, r))
-        while np.linalg.svd(X, compute_uv=False)[r - 1] <= min_sigma:
-            X = rng.standard_normal((n, r))
-            redraws += 1
-        if i % 10 == 0:
-            Z = X @ rng.standard_normal((r, r))
-        else:
-            Z = rng.standard_normal((n, r))
-        pairs.append((X, Z))
-    return pairs, redraws
-
-
-def test_saddle_redraw_replays_from_the_saved_state(monkeypatch):
-    # The saddle pairs are drawn without the redraw test, which then runs
-    # once per shape stack; on a hit the generator is rewound and the pairs
-    # drawn again with the test per pair.  Either way the stacks and the
-    # generator state after them are those of the per-pair draw.  Raising
-    # the threshold forces the replay.
-    for min_sigma, hit in ((certify._SADDLE_MIN_SIGMA, False), (0.3, True)):
-        monkeypatch.setattr(certify, "_SADDLE_MIN_SIGMA", min_sigma)
-        rng = np.random.default_rng(42)
-        ref = np.random.default_rng(42)
-        stacks = _saddle_stacks(rng, 300)
-        pairs, redraws = drawn_with_redraw(ref, 300, min_sigma)
-        assert (redraws > 0) == hit
-        assert rng.bit_generator.state == ref.bit_generator.state
-        want = _stacks(pairs, np.shape)
-        assert len(stacks) == len(want)
-        for (X, Z), (Xw, Zw) in zip(stacks, want):
-            assert X.tobytes() == Xw.tobytes() and Z.tobytes() == Zw.tobytes()
-            assert X.shape == Xw.shape
 
 
 def gradhessian_instance(seed):

@@ -379,6 +379,23 @@ def test_main_run_refuses_oversized_operator(tmp_path, capsys):
             "the dense limit 16000000\n" % command)
 
 
+def test_config_refuses_dense_truth_and_lift():
+    # Refused at validation, before any build: the 1-bit truth is n x n and
+    # the asym-linear lift is (n+m) x (n+m), whatever p is.
+    ExperimentConfig(kind="onebit", n=4000, r=1)
+    ExperimentConfig(kind="asym-linear", n=3999, m=1, r=1, p=1)
+    for bad, entries in ((dict(kind="onebit", n=4001, r=1), 4001 ** 2),
+                         (dict(kind="onebit", n=100000, r=1), 100000 ** 2),
+                         (dict(kind="asym-linear", n=4000, m=1, r=1, p=1),
+                          4001 ** 2),
+                         (dict(kind="asym-linear", n=100000, m=1, r=1, p=1),
+                          100001 ** 2)):
+        with pytest.raises(ValueError, match=(
+                "^config keys n, m: %d entries exceed the dense limit "
+                "16000000$" % entries)):
+            ExperimentConfig(**bad)
+
+
 def test_main_rip_estimate(tmp_path, capsys):
     cfg_path = tmp_path / "sym.conf"
     cfg_path.write_text("kind = sym-linear\nn = 8\nr = 1\np = 40\n"

@@ -157,6 +157,21 @@ def test_gradient_descent_refuses_nan_stops():
         assert trace.stop_reason == "max_iters"
 
 
+def test_solvers_refuse_non_finite_max_iters():
+    # t >= max_iters never holds for these, so a run that missed its other
+    # stops would never end.  Both runs here stop by themselves within a few
+    # thousand steps, so a missing guard shows as a return, not a hang.
+    problem = scalar_problem(1.0, 0.0, 1.0)
+    params = pgd_params(problem, c=0.5, kappa=1.0, gamma=0.1)
+    x0 = np.full((1, 1), 0.9)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="max_iters must be finite"):
+            gradient_descent(problem, x0, eta=0.05, max_iters=bad, tol=1e-3)
+        with pytest.raises(ValueError, match="max_iters must be finite"):
+            perturbed_gd(problem, x0, params, eps_target=1e-2, max_iters=bad,
+                         seed=3)
+
+
 def test_perturbed_gd_escapes_origin(saddle_run):
     # x=0 is a strict saddle of (x^2-1)^2/2 with zero gradient, so plain
     # descent would never move; the perturbation has to do the escape.
