@@ -73,8 +73,9 @@ class LinearOperator:
             raise ValueError("need at least one sensing matrix")
         if not np.isfinite(matrices).all():
             raise ValueError("sensing matrices must be finite")
-        if not scale > 0:
-            raise ValueError("operator scale must be positive")
+        if not 0 < scale < math.inf:
+            raise ValueError("operator scale must be positive and finite, "
+                             "got %r" % (scale,))
         self.matrices = matrices
         self.p, self.n, self.m = matrices.shape
         self.scale = float(scale)
@@ -191,10 +192,14 @@ def make_gaussian_operator(n, m, p, seed):
 class MatrixLoss:
     """Interface for a smooth loss on n-by-m matrices.
 
-    Subclasses implement ``value``, ``grad`` and ``hess_gram(M, dirs)``, the
+    Subclasses implement the unchecked ``_value(M)`` and ``_grad(M)``, which
+    take a float array of the loss's shape, and ``hess_gram(M, dirs)``, the
     Gram matrix [<dirs[i], H(M) dirs[j]>] of the Hessian H(M) over a
-    (k, n, m) stack of directions.  ``value_and_grad`` may be overridden when
-    a loss can share the work.  ``constant_hessian`` is true when the Hessian
+    (k, n, m) stack of directions.  The public ``value``, ``grad`` and
+    ``value_and_grad`` check the argument's shape, once per call, and then
+    call the unchecked forms.  A loss that checks the shape on its own path
+    or shares work between value and gradient overrides the public methods
+    instead, and checks there.  ``constant_hessian`` is true when the Hessian
     does not depend on the base point M.  ``symmetric_grad`` is true when
     ``grad(M)`` is bit-symmetric at every bit-symmetric M; the constructor
     decides it, and ``factored`` then forms (W + W^T) X as 2 W X, which
@@ -215,17 +220,24 @@ class MatrixLoss:
             )
         return M
 
-    def value(self, M):
+    def _value(self, M):
         raise NotImplementedError
 
-    def grad(self, M):
+    def _grad(self, M):
         raise NotImplementedError
 
     def hess_gram(self, M, dirs):
         raise NotImplementedError
 
+    def value(self, M):
+        return self._value(self._check(M))
+
+    def grad(self, M):
+        return self._grad(self._check(M))
+
     def value_and_grad(self, M):
-        return self.value(M), self.grad(M)
+        M = self._check(M)
+        return self._value(M), self._grad(M)
 
 
 class LinearLoss(MatrixLoss):
@@ -242,6 +254,8 @@ class LinearLoss(MatrixLoss):
         d = np.asarray(d, dtype=float)
         if d.shape != (operator.p,):
             raise ValueError("d must be a length-%d vector" % operator.p)
+        if not np.isfinite(d).all():
+            raise ValueError("d must be finite")
         self.operator = operator
         self.d = d
         self.n = operator.n
@@ -275,32 +289,45 @@ class OneBitLoss(MatrixLoss):
         y = np.asarray(y, dtype=float)
         if y.ndim != 2 or y.shape[0] != y.shape[1]:
             raise ValueError("y must be a square matrix")
-        if np.min(y) < 0 or np.max(y) > 1:
+        # Written so that a NaN entry fails: its min and max compare false.
+        if not (np.min(y) >= 0 and np.max(y) <= 1):
             raise ValueError("entries of y must lie in [0, 1]")
-        if not scale > 0:
-            raise ValueError("loss scale must be positive")
+        if not 0 < scale < math.inf:
+            raise ValueError("loss scale must be positive and finite, got %r"
+                             % (scale,))
         # Imported here, not at module level: scipy.special is most of the
         # package's import time and only the 1-bit loss needs it.
         from scipy.special import expit
         self._expit = expit
         self.y = y
         self.scale = float(scale)
+        # The scalar operands of each evaluation as float64 0-d arrays, made
+        # once: numpy converts a Python float operand on every call, about
+        # 0.2 us at 10 x 10, and the 0-d array gives the same bits.
+        self._zero = np.zeros(())
+        self._scale = np.array(self.scale)
         self.n = y.shape[0]
         self.m = y.shape[1]
         # expit(M) - y at a symmetric M: entries of y that compare equal
         # differ at most in the sign of a zero, which the subtraction drops.
         self.symmetric_grad = bool(np.array_equal(y, y.T))
 
-    def value(self, M):
-        M = self._check(M)
+    # Each form below reuses its first temporary in place: the operations
+    # and operands are those of the plain expressions, so are the bits.
+
+    def _value(self, M):
         # logaddexp keeps log(1 + exp(M)) finite for large |M|; add.reduce
         # is what ndarray.sum calls, without its Python wrapper.
-        return self.scale * float(np.add.reduce(
-            np.logaddexp(0.0, M) - self.y * M, axis=None))
+        t = np.logaddexp(self._zero, M)
+        t -= self.y * M
+        return self.scale * float(np.add.reduce(t, axis=None))
 
-    def grad(self, M):
-        M = self._check(M)
-        return self.scale * (self._expit(M) - self.y)
+    def _grad(self, M):
+        # x * scale rounds as scale * x does.
+        g = self._expit(M)
+        g -= self.y
+        g *= self._scale
+        return g
 
     def hess_gram(self, M, dirs):
         s = self._expit(self._check(M))
@@ -387,15 +414,19 @@ class RecoveryProblem:
             raise ValueError("m_star shape does not match the loss")
         if not 0 <= delta < 1:
             raise ValueError("delta must lie in [0, 1)")
-        if rho1 < 1.0 + 2.0 * delta - 1e-12:
-            raise ValueError("rho1 must be at least 1 + 2*delta")
-        if rho2 < 0:
-            raise ValueError("rho2 must be nonnegative")
+        # Each test below is written so that NaN fails it.
+        if not 1.0 + 2.0 * delta - 1e-12 <= rho1 < math.inf:
+            raise ValueError("rho1 must be finite and at least 1 + 2*delta, "
+                             "got %r" % (rho1,))
+        if not 0 <= rho2 < math.inf:
+            raise ValueError("rho2 must be nonnegative and finite, got %r"
+                             % (rho2,))
         sv = np.linalg.svd(m_star, compute_uv=False)
         check_rank(sv, r)
         norm = _norm(m_star)
-        if norm > bound_d * (1 + 1e-12):
-            raise ValueError("bound_d must dominate ||m_star||_F")
+        if not norm <= bound_d * (1 + 1e-12) < math.inf:
+            raise ValueError("bound_d must be finite and dominate "
+                             "||m_star||_F, got %r" % (bound_d,))
         self.loss = loss
         self.m_star = m_star
         self.r = int(r)

@@ -234,8 +234,18 @@ def local_region_sym(delta, sigma_r):
 def max_step_sym(rho1, r, delta, dist0, bound_d):
     """Largest admissible step size for the symmetric local guarantee."""
     _check_delta(delta)
-    if rho1 <= 0 or r < 1 or dist0 < 0 or bound_d <= 0:
-        raise ValueError("invalid step-size inputs")
+    # Each test is written so that NaN fails it; an infinite rho1 or
+    # bound_d would give a zero step.
+    if not 0 < rho1 < np.inf:
+        raise ValueError("rho1 must be positive and finite, got %r" % (rho1,))
+    if r < 1:
+        raise ValueError("rank r must be positive, got %r" % (r,))
+    if not 0 <= dist0 < np.inf:
+        raise ValueError("dist0 must be nonnegative and finite, got %r"
+                         % (dist0,))
+    if not 0 < bound_d < np.inf:
+        raise ValueError("bound_d must be positive and finite, got %r"
+                         % (bound_d,))
     ratio = np.sqrt((1.0 + delta) / (1.0 - delta))
     return 1.0 / (12.0 * rho1 * np.sqrt(r) * (ratio * dist0 + bound_d))
 

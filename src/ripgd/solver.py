@@ -189,7 +189,11 @@ def _descend(problem, X, eta, max_iters, eps_target, tol=None, params=None,
         # t >= max_iters would never hold, and the rows would grow forever.
         raise ValueError("max_iters must be finite, got %r" % (max_iters,))
     loss, m_star = problem.loss, problem.m_star
-    radius = rip.local_region_sym(problem.delta, problem.sigma_r)
+    # A Python float, so each row's ``dist < radius`` is a plain compare.
+    radius = float(rip.local_region_sym(problem.delta, problem.sigma_r))
+    # A float64 0-d array, so the step does not convert eta on every call;
+    # the bits are those of a Python float operand.
+    step = np.array(eta, dtype=float)
     phase = 2 if params is None else 1
     if phase == 1:
         rng = np.random.default_rng(seed)
@@ -231,7 +235,12 @@ def _descend(problem, X, eta, max_iters, eps_target, tol=None, params=None,
             break
         if t >= max_iters:
             break
-        X = X - eta * grad
+        # grad is scaled in place: a perturbation rebinds grad before this
+        # step, so the grad in ``saved`` is still unscaled at its restore,
+        # and once restored it is read by this step alone.  X is rebound,
+        # never written, which keeps ``saved`` uncopied.
+        grad *= step
+        X = X - grad
         t += 1
     return Trace._from_columns(zip(*rows), eta=eta, x_final=X,
                                stop_reason=stop)
@@ -308,14 +317,19 @@ def level_set_violation(trace, problem):
     """Worst relative excess of the level-set distance bound along a trace.
 
     Wherever f(X_t) <= f(X_0), the recovery error must stay within
-    sqrt((1+delta)/(1-delta)) times the initial error.
+    sqrt((1+delta)/(1-delta)) times the initial error.  A run that starts
+    at the truth has bound 0: it gives -1.0 when every such row is still at
+    the truth, as 0 / bound - 1 does elsewhere, and +inf otherwise.
     """
     ratio = math.sqrt((1.0 + problem.delta) / (1.0 - problem.delta))
     bound = ratio * trace.dist[0]
     mask = trace.f <= trace.f[0]
     if not mask.any():
         return -np.inf
-    return float(np.max(trace.dist[mask]) / bound - 1.0)
+    worst = np.max(trace.dist[mask])
+    if bound == 0.0:
+        return -1.0 if worst == 0.0 else np.inf
+    return float(worst / bound - 1.0)
 
 
 def confinement_violation(trace, params):

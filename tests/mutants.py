@@ -34,6 +34,10 @@ MUTANTS = [
      "mask = trace.f < trace.f[0]",
      "tests/test_solver.py::test_level_set_violation_known_excess"),
     ("src/ripgd/solver.py",
+     "if bound == 0.0:",
+     "if False:",
+     "tests/test_solver.py::test_level_set_violation_run_from_the_truth"),
+    ("src/ripgd/solver.py",
      "kept = ~trace.perturbed[1:] & (",
      "kept = (",
      "tests/test_solver.py::"
@@ -91,6 +95,47 @@ MUTANTS = [
      "if not -math.inf < max_iters < math.inf:",
      "if max_iters != max_iters:",
      "tests/test_solver.py::test_solvers_refuse_non_finite_max_iters"),
+    # Non-finite constructor arguments.
+    ("src/ripgd/losses.py",
+     'if not 0 < scale < math.inf:\n            raise ValueError("operator',
+     'if not 0 < scale:\n            raise ValueError("operator',
+     "tests/test_losses.py::test_operator_refuses_infinite_scale"),
+    ("src/ripgd/losses.py",
+     "if not np.isfinite(d).all():",
+     "if np.isinf(d).any():",
+     "tests/test_losses.py::test_linear_loss_refuses_nan_d"),
+    ("src/ripgd/losses.py",
+     "if not (np.min(y) >= 0 and np.max(y) <= 1):",
+     "if np.min(y) < 0 or np.max(y) > 1:",
+     "tests/test_losses.py::test_onebit_refuses_nan_y"),
+    ("src/ripgd/losses.py",
+     'if not 0 < scale < math.inf:\n            raise ValueError("loss',
+     'if not 0 < scale:\n            raise ValueError("loss',
+     "tests/test_losses.py::test_onebit_refuses_infinite_scale"),
+    ("src/ripgd/losses.py",
+     "if not 1.0 + 2.0 * delta - 1e-12 <= rho1 < math.inf:",
+     "if rho1 < 1.0 + 2.0 * delta - 1e-12:",
+     "tests/test_losses.py::test_recovery_problem_refuses_nan_rho1"),
+    ("src/ripgd/losses.py",
+     "if not 0 <= rho2 < math.inf:",
+     "if rho2 < 0:",
+     "tests/test_losses.py::test_recovery_problem_refuses_nan_rho2"),
+    ("src/ripgd/losses.py",
+     "if not norm <= bound_d * (1 + 1e-12) < math.inf:",
+     "if norm > bound_d * (1 + 1e-12):",
+     "tests/test_losses.py::test_recovery_problem_refuses_nan_bound_d"),
+    ("src/ripgd/rip.py",
+     "if not 0 < rho1 < np.inf:",
+     "if rho1 <= 0:",
+     "tests/test_rip.py::test_max_step_refuses_infinite_rho1"),
+    ("src/ripgd/rip.py",
+     "if not 0 <= dist0 < np.inf:",
+     "if dist0 < 0:",
+     "tests/test_rip.py::test_max_step_refuses_nan_dist0"),
+    ("src/ripgd/rip.py",
+     "if not 0 < bound_d < np.inf:",
+     "if bound_d <= 0:",
+     "tests/test_rip.py::test_max_step_refuses_infinite_bound_d"),
     # Memory: the dense limit before the allocation, the thread cap.
     ("src/ripgd/cli.py",
      'side = self.n + self.m if self.kind == "asym-linear" else self.n',
@@ -147,6 +192,16 @@ MUTANTS = [
      "if img_norm == 0.0:",
      "if False:",
      "tests/test_certify.py::test_pl_dual_empty_image_is_a_construction_gap"),
+    ("src/ripgd/certify.py",
+     "bound = (1.0 - q1 + q2) / (1.0 + q1)",
+     "bound = (1.0 - q1 + 2.0 * q2) / (1.0 + q1)",
+     "tests/test_certify.py::"
+     "test_pl_dual_bound_fails_alone_at_the_rounding_scale"),
+    ("src/ripgd/certify.py",
+     "(math.sqrt(sigma_r) - C_tilde)",
+     "(math.sqrt(sigma_r) + C_tilde)",
+     "tests/test_certify.py::"
+     "test_pl_dual_bound_closest_case_inside_the_prerequisites"),
     ("src/ripgd/certify.py",
      "1.0 - beta * alpha",
      "1.0 + beta * alpha",
@@ -214,6 +269,29 @@ MUTANTS = [
      "np.subtract(N, m_star, out=N)",
      "np.subtract(N, m_star, out=m_star)",
      "tests/test_solver.py::test_in_place_distance_keeps_truth_and_start"),
+    # The 1-bit step: one shape check, temporaries reused in place, the
+    # step scaled in place in a gradient no saved state holds.
+    ("src/ripgd/losses.py",
+     "return self._value(self._check(M))",
+     "return self._value(M)",
+     "tests/test_losses.py::test_onebit_value_checks_the_shape"),
+    ("src/ripgd/losses.py",
+     "return self._value(M), self._grad(M)",
+     "return self.value(M), self.grad(M)",
+     "tests/test_losses.py::test_value_and_grad_checks_the_shape_once"),
+    ("src/ripgd/losses.py",
+     "t = np.logaddexp(self._zero, M)",
+     "t = np.log1p(np.exp(M))",
+     "tests/test_losses.py::"
+     "test_onebit_unchecked_forms_same_bits_as_plain_expressions"),
+    ("src/ripgd/solver.py",
+     "saved = X, val, grad, gn, N",
+     "saved = X, val, grad, gn, N\n                grad *= step",
+     "tests/test_solver.py::test_perturbed_gd_matches_reference_loop"),
+    ("src/ripgd/solver.py",
+     "X = X + _ball_noise(rng, X.shape, params.w)",
+     "X += _ball_noise(rng, X.shape, params.w)",
+     "tests/test_solver.py::test_perturbed_gd_matches_reference_loop"),
     # The packed symmetric operator.
     ("src/ripgd/losses.py",
      "out = self._packed.dot(",

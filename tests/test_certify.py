@@ -676,6 +676,49 @@ def test_pl_dual_prerequisite_failure_is_a_construction_gap():
     assert rep.checks["norm_prereq"]["passed"] is True
 
 
+def test_pl_dual_bound_closest_case_inside_the_prerequisites():
+    # No instance fails dual_bound alone in exact arithmetic.  With both
+    # prerequisites (see above) and ||e|| >= sqrt(2 (sqrt(2)-1) sigma_r) gap
+    # (the normcompare bound), cos >= q1; with sigma_r(X) >= sqrt(sigma_r)
+    # - gap (Weyl), 2 mu' ||y|| / ||Xop y|| <= q2; and the dual objective
+    # falls as cos grows.  So dual_obj <= bound once gap <= C~.  The closest
+    # case a search over n <= 4, r <= 2 found is rank one with X - Z
+    # orthogonal to Z, at C~ = gap: there the norm prerequisite is tight,
+    # and dual_obj / bound is 1 - gap / sqrt(sigma_r) to first order.
+    # Every product here is exact.  Z = 2 e1 and X = Z + 2^-10 e2 give
+    # sigma_r = 4 and gap = 2^-10.
+    Z = np.array([[2.0], [0.0]])
+    X = np.array([[2.0], [2.0 ** -10]])
+    rep = pl_dual_bound(X, Z, 0.5, 2.0 ** -10, 4.0)
+    assert rep.passed and not rep.construction_gap
+    assert rep.quantities["gap"] == 2.0 ** -10
+    check = rep.checks["dual_bound"]
+    ratio = check["lhs"] / check["rhs"]
+    assert 1.0 - 2.0 ** -10 < ratio < 1.0
+    assert ratio == pytest.approx(1.0 - 2.0 ** -11, abs=1e-6)
+
+
+def test_pl_dual_bound_fails_alone_at_the_rounding_scale():
+    # In floating point dual_bound does fail alone, where X is within
+    # rounding of Z: e = X X^T - Z Z^T (norm 1.2e-14) is then mostly
+    # rounding error, the residual 2.5e-16 exceeds gap^2 = 1.4e-29, and the
+    # residual prerequisite passes only by its absolute tolerance 1e-10.
+    # The lower cos lifts the dual objective 1.9% over the bound.
+    Z = np.array([[-0.906244587517265], [-2.0770259182698587]])
+    X = Z + np.array([[-3.342760437642903e-15], [1.6248714730355469e-15]])
+    sigma_r = float(Z[:, 0].dot(Z[:, 0]))
+    gap = 3.774758283725532e-15
+    rep = pl_dual_bound(X, Z, 0.016509348655632874, gap, sigma_r)
+    assert rep.quantities["gap"] == pytest.approx(gap, rel=1e-6)
+    assert rep.checks["norm_prereq"]["passed"]
+    assert rep.checks["residual_prereq"]["passed"]
+    assert rep.quantities["residual"] > 1e10 * gap ** 2
+    assert not rep.construction_gap
+    check = rep.checks["dual_bound"]
+    assert not check["passed"]
+    assert check["lhs"] / check["rhs"] == pytest.approx(1.019, abs=2e-3)
+
+
 def test_pl_dual_empty_image_is_a_construction_gap():
     # The same Z with X = Z + [[0, 0], [0, 0], [0, 2]]: lstsq's relative
     # cut drops every direction that e, nonzero only in its lower 2-by-2

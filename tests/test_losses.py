@@ -8,6 +8,7 @@ from ripgd.losses import (
     DENSE_LIMIT,
     LinearOperator,
     LinearLoss,
+    MatrixLoss,
     OneBitLoss,
     RecoveryProblem,
     make_gaussian_operator,
@@ -253,6 +254,12 @@ def test_operator_validation():
         op.with_scale(0.0)
 
 
+def test_operator_refuses_infinite_scale():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="operator scale"):
+            LinearOperator(np.ones((2, 2, 2)), scale=bad)
+
+
 def test_gaussian_operator_deterministic():
     a = make_gaussian_operator(3, 4, 5, seed=9)
     b = make_gaussian_operator(3, 4, 5, seed=9)
@@ -311,6 +318,13 @@ def test_linear_loss_hand_values():
     G = loss.hess_gram(M, np.stack([K, L]))
     assert abs(G[0, 1] - 0.0) < 1e-14
     assert abs(G[0, 0] - 1.0) < 1e-14
+
+
+def test_linear_loss_refuses_nan_d():
+    op = LinearOperator(np.ones((2, 2, 2)))
+    for bad in ([0.0, np.nan], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="d must be finite"):
+            LinearLoss(op, bad)
 
 
 def test_linear_loss_scale_quadratic():
@@ -386,6 +400,91 @@ def test_onebit_validation():
         OneBitLoss(np.full((2, 2), 0.5), scale=0.0)
 
 
+def test_onebit_refuses_nan_y():
+    # min and max of y are NaN here, and NaN passes a "< 0" or "> 1" test.
+    y = np.full((2, 2), 0.5)
+    y[0, 1] = np.nan
+    with pytest.raises(ValueError, match="entries of y"):
+        OneBitLoss(y)
+
+
+def test_onebit_refuses_infinite_scale():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="loss scale"):
+            OneBitLoss(np.full((2, 2), 0.5), scale=bad)
+
+
+def onebit_plain_value(loss, M):
+    # The 1-bit value and gradient as written before their temporaries
+    # were reused in place.
+    return loss.scale * float(np.add.reduce(
+        np.logaddexp(0.0, M) - loss.y * M, axis=None))
+
+
+def onebit_plain_grad(loss, M):
+    return loss.scale * (expit(M) - loss.y)
+
+
+def test_onebit_unchecked_forms_same_bits_as_plain_expressions():
+    rng = np.random.default_rng(31)
+    A = rng.standard_normal((6, 6))
+    signed_zeros = np.array([[0.0, -0.0, 1.5], [-0.0, -0.0, -2.0],
+                             [1.5, -2.0, 0.0]])
+    y_zeros = np.array([[0.0, -0.0, 0.25], [-0.0, 1.0, 0.5],
+                        [0.25, 0.5, -0.0]])
+    cases = [
+        (rng.uniform(0.0, 1.0, (6, 6)), 2.5, A),            # non-symmetric
+        (expit(A + A.T), 6.0, A + A.T),                      # symmetric
+        (expit(A + A.T), 6.0, 40.0 * A),                     # large entries
+        (y_zeros, 6.0, signed_zeros),
+        (y_zeros, 0.75, -signed_zeros),
+        (np.full((3, 3), 0.5), 1.0, np.full((3, 3), -0.0)),
+    ]
+    for y, scale, M in cases:
+        loss = OneBitLoss(y, scale=scale)
+        value = onebit_plain_value(loss, M)
+        grad = onebit_plain_grad(loss, M).tobytes()
+        assert np.float64(loss._value(M)).tobytes() == np.float64(value).tobytes()
+        assert np.float64(loss.value(M)).tobytes() == np.float64(value).tobytes()
+        assert loss._grad(M).tobytes() == grad
+        assert loss.grad(M).tobytes() == grad
+        v, g = loss.value_and_grad(M)
+        assert np.float64(v).tobytes() == np.float64(value).tobytes()
+        assert g.tobytes() == grad
+        # The in-place forms write only their own temporaries.
+        assert loss.y.tobytes() == np.asarray(y, dtype=float).tobytes()
+
+
+def test_value_and_grad_checks_the_shape_once(monkeypatch):
+    # OneBitLoss inherits value_and_grad, which the benchmark tracer wraps
+    # on MatrixLoss, and implements only the unchecked forms.
+    assert "value_and_grad" not in vars(OneBitLoss)
+    loss = OneBitLoss(np.full((2, 2), 0.5))
+    calls = []
+    check = MatrixLoss._check
+
+    def counting(self, M):
+        calls.append(M)
+        return check(self, M)
+
+    monkeypatch.setattr(MatrixLoss, "_check", counting)
+    v, g = loss.value_and_grad(np.eye(2))
+    assert len(calls) == 1
+    assert v == loss._value(np.eye(2)) and np.array_equal(g, loss._grad(np.eye(2)))
+    with pytest.raises(ValueError, match="does not match loss shape"):
+        loss.value_and_grad(np.eye(3))
+
+
+def test_onebit_value_checks_the_shape():
+    # A (3, 2, 2) stack broadcasts against y, so only the check refuses it.
+    loss = OneBitLoss(np.full((2, 2), 0.5))
+    for bad in (np.zeros((3, 2, 2)), np.zeros((1, 2)), np.eye(3)):
+        with pytest.raises(ValueError, match="does not match loss shape"):
+            loss.value(bad)
+        with pytest.raises(ValueError, match="does not match loss shape"):
+            loss.grad(bad)
+
+
 def test_make_onebit_weight_band():
     # Planted rates y = sigmoid(m_hat); at the region edge |m| = 2.29 the
     # curvature weight 6 * sigmoid'(m) is just above 1/2, and 3/2 at zero.
@@ -443,13 +542,16 @@ def test_recovery_problem_attributes():
     assert prob.m_star_norm == pytest.approx(np.linalg.norm(m_star))
 
 
-def test_recovery_problem_validation():
+def recovery_instance():
     rng = np.random.default_rng(8)
     z = rng.standard_normal((4, 2))
     m_star = z @ z.T
     op = make_gaussian_operator(4, 4, 20, seed=2)
-    loss = LinearLoss(op, op.apply(m_star))
-    D = np.linalg.norm(m_star)
+    return LinearLoss(op, op.apply(m_star)), m_star, np.linalg.norm(m_star)
+
+
+def test_recovery_problem_validation():
+    loss, m_star, D = recovery_instance()
     with pytest.raises(ValueError):
         RecoveryProblem(loss, m_star, 2, 1.0, 3.0, 0.0, D)
     with pytest.raises(ValueError):
@@ -474,3 +576,24 @@ def test_recovery_problem_validation():
     assert prob.sigma_r > 4e7
     with pytest.raises(ValueError, match="deficient"):
         RecoveryProblem(big_loss, big, 2, 0.3, 1.7, 0.0, big_d)
+
+
+def test_recovery_problem_refuses_nan_rho1():
+    loss, m_star, D = recovery_instance()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="rho1"):
+            RecoveryProblem(loss, m_star, 2, 0.3, bad, 0.0, D)
+
+
+def test_recovery_problem_refuses_nan_rho2():
+    loss, m_star, D = recovery_instance()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="rho2"):
+            RecoveryProblem(loss, m_star, 2, 0.3, 1.7, bad, D)
+
+
+def test_recovery_problem_refuses_nan_bound_d():
+    loss, m_star, _ = recovery_instance()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="bound_d"):
+            RecoveryProblem(loss, m_star, 2, 0.3, 1.7, 0.0, bad)

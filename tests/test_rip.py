@@ -97,6 +97,26 @@ def test_formula_validation():
             max_step_sym(*args)
 
 
+def test_max_step_refuses_nan_dist0():
+    # NaN passes "dist0 < 0", and the step would be NaN.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="dist0"):
+            max_step_sym(1.5, 1, 0.2, bad, 1.0)
+
+
+def test_max_step_refuses_infinite_bound_d():
+    # bound_d = inf would give the step 0.0.
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="bound_d"):
+            max_step_sym(1.5, 1, 0.2, 1.0, bad)
+
+
+def test_max_step_refuses_infinite_rho1():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="rho1"):
+            max_step_sym(bad, 1, 0.2, 1.0, 1.0)
+
+
 def test_prior_radii_table():
     got = prior_radii(0.0, 1.0, 1.0)
     assert list(got.keys()) == ["sym_spectral", "sym_procrustes",

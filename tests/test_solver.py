@@ -262,6 +262,25 @@ def test_level_set_violation_known_excess():
     assert level_set_violation(trace, problem) == 0.0
 
 
+def test_level_set_violation_run_from_the_truth():
+    # A 2x2 one-bit gd run started at the truth's factor: dist[0] is 0, so
+    # is the bound, and the gradient expit(M) - y is exactly 0 there, so
+    # every row stays at the truth.  Dividing would warn 0/0 and give NaN.
+    z = np.array([[0.5], [-1.0]])
+    m_hat = z @ z.T
+    problem = RecoveryProblem(make_onebit_loss(m_hat), m_hat, 1, 0.5, 2.0,
+                              onebit_rho2(6.0), np.linalg.norm(m_hat))
+    trace = gradient_descent(problem, z, eta=0.05, max_iters=5, tol=None)
+    assert trace.dist.tolist() == [0.0] * 6
+    assert level_set_violation(trace, problem) == -1.0
+    # A row under the level set that has left the truth is an unbounded
+    # excess; a row above it does not count.
+    trace = hand_trace([1.0, 1.0, 2.0], [0.0, 1e-300, 5.0], [2] * 3)
+    assert level_set_violation(trace, problem) == np.inf
+    trace = hand_trace([1.0, 2.0], [0.0, 5.0], [2] * 2)
+    assert level_set_violation(trace, problem) == -1.0
+
+
 def test_confinement_violation_known_excess():
     # R = 3 D (1 + delta)/(1 - delta) = 3; the phase-1 rows reach 3.5 and
     # the phase-2 row, which does not count, reaches 10.
@@ -423,6 +442,18 @@ def test_perturbed_gd_matches_reference_loop(saddle_run):
     assert trace.perturbed.sum() >= 2 and not trace.perturbed[switch]
     ref = descend_reference(problem, np.zeros((1, 1)), params.eta, 20000,
                             1e-6, params=params, seed=3)
+    assert_same_trace(trace, ref)
+    # From x0 = 0.05 the perturbation fires near the truth, and the
+    # restored iterate, whose gradient is not zero, takes further steps:
+    # the step from a restored gradient is checked too.
+    x0 = np.full((1, 1), 0.05)
+    trace = perturbed_gd(problem, x0, params, eps_target=1e-6,
+                         max_iters=20000, seed=3)
+    switch = trace.phase2_start
+    assert trace.perturbed.any() and switch < len(trace) - 1
+    assert trace.grad_norm[switch] > 0.0
+    ref = descend_reference(problem, x0, params.eta, 20000, 1e-6,
+                            params=params, seed=3)
     assert_same_trace(trace, ref)
 
 
