@@ -11,8 +11,11 @@ import numpy as np
 from .losses import MatrixLoss, _check_dense, check_rank
 from .rip import lift_delta
 
-# The pad of LiftedLoss's inner gradient: x + (-0.0) is x, bit for bit.
-_NEG_ZERO = np.array([-0.0])
+# Scalar operands of the per-step products as float64 0-d arrays: numpy
+# converts a Python float operand on every call, and the 0-d array gives the
+# same bits.
+_TWO = np.array(2.0)
+_HALF = np.array(0.5)
 
 
 def _check_factor(loss, X):
@@ -32,7 +35,7 @@ def _factor_grad(loss, W, X):
     """
     if loss.symmetric_grad:
         G = W.dot(X)
-        G *= 2.0
+        G *= _TWO
         return G
     return (W + W.T).dot(X)
 
@@ -120,38 +123,48 @@ class LiftedLoss(MatrixLoss):
     [[-0.0, g/2], [g/2^T, -0.0]] to B: off the diagonal blocks that gives
     the bits of g/2 - phi/2 * N12, as a + (-b) rounds exactly as a - b
     does, and on them x + (-0.0) is x, signed zeros included (+0.0 would
-    turn -0.0 into +0.0).  The scale multiplies B last, in place.  At a
-    bit-symmetric M the balancing part is symmetric, so the gradient is
-    bit-symmetric whatever the inner loss: ``symmetric_grad`` holds.
+    turn -0.0 into +0.0).  g/2 is written into a scratch buffer of the
+    loss, whose one extra entry stays -0.0, and the padded matrix is a
+    fresh gather from it, so the buffer never escapes; the loss must not
+    be evaluated from two threads at once.  The scale multiplies B last,
+    in place.  At a bit-symmetric M the balancing part is symmetric, so the
+    gradient is bit-symmetric whatever the inner loss: ``symmetric_grad``
+    holds.
     """
 
     symmetric_grad = True
 
     def __init__(self, inner, delta):
+        side = inner.n + inner.m
+        # (n+m)-square arrays are built here and on every evaluation.
+        _check_dense(side * side)
         self.delta = lift_delta(delta)
         self.phi = 0.5 * (1.0 - delta)
         self.scale = 4.0 / (1.0 + delta)
+        self._scale = np.array(self.scale)
         self.inner = inner
         self.split = k = inner.n
-        self.n = inner.n + inner.m
-        self.m = self.n
+        self.n = self.m = side
         self.constant_hessian = inner.constant_hessian
-        self._sign = np.ones((self.n, self.n))
+        self._sign = np.ones((side, side))
         self._sign[:k, k:] = self._sign[k:, :k] = -1.0
         self._half_phi_sign = 0.5 * self.phi * self._sign
-        # Gathers the padded matrix from the flat inner gradient followed by
-        # one -0.0, at index k*m: g on the top-right block, g^T below.
+        # Scratch for g/2, flat, followed by one -0.0 at index k*m, and its
+        # first k*m entries as a k-by-m view to halve g into.
+        self._half_g = np.full(k * inner.m + 1, -0.0)
+        self._half_g_block = self._half_g[:-1].reshape(k, inner.m)
+        # Gathers the padded matrix from the scratch: g/2 on the top-right
+        # block, its transpose below, the -0.0 on the diagonal blocks.
         top = np.arange(k * inner.m).reshape(k, inner.m)
-        self._pad = np.full((self.n, self.n), top.size)
+        self._pad = np.full((side, side), top.size)
         self._pad[:k, k:], self._pad[k:, :k] = top, top.T
 
     def _gradient(self, B, g12):
         """scale * (B + [[-0.0, g/2], [g/2^T, -0.0]]), in the fresh B."""
-        P = np.concatenate((g12.reshape(-1), _NEG_ZERO)).take(self._pad)
-        # Halving keeps the -0.0, and 0.5 * g^T is (0.5 g)^T.
-        P *= 0.5
-        B += P
-        B *= self.scale
+        # Halving before the gather gives the bits of halving after it.
+        np.multiply(g12, _HALF, out=self._half_g_block)
+        B += self._half_g.take(self._pad)
+        B *= self._scale
         return B
 
     def value(self, M):
@@ -169,8 +182,9 @@ class LiftedLoss(MatrixLoss):
         v12, g12 = self.inner.value_and_grad(M[:self.split, self.split:])
         B = self._half_phi_sign * M
         # At symmetric M, (f(N12) + f(N21^T)) / 2 is exactly f(N12).
-        val = v12 + 0.5 * np.vdot(M, B)
-        return self.scale * float(val), self._gradient(B, g12)
+        # Python floats round as float64 scalars do.
+        val = v12 + 0.5 * float(np.vdot(M, B))
+        return self.scale * val, self._gradient(B, g12)
 
     def hess_gram(self, M, dirs):
         M = self._check(M)
@@ -194,6 +208,8 @@ def balance_and_augment(m_star, r):
     m_star = np.asarray(m_star, dtype=float)
     if m_star.ndim != 2:
         raise ValueError("m_star must be a matrix")
+    n, m = m_star.shape
+    _check_dense((n + m) ** 2)
     P, sv, Qt = np.linalg.svd(m_star, full_matrices=False)
     check_rank(sv, r)
     root = np.sqrt(sv[:r])

@@ -79,6 +79,10 @@ class LinearOperator:
         self.matrices = matrices
         self.p, self.n, self.m = matrices.shape
         self.scale = float(scale)
+        # The scale as a float64 0-d array, made once: numpy converts a
+        # Python float operand on every call, and the 0-d array gives the
+        # same bits.
+        self._scale = np.array(self.scale)
         # (p, n*m) view: apply and adjoint are single matrix-vector products.
         # They call ndarray.dot, which reaches the same BLAS routine as `@`
         # without the matmul ufunc's dispatch, so the bits are the same.
@@ -86,7 +90,7 @@ class LinearOperator:
         # The argument shapes of apply and adjoint, compared on every call.
         self._in_shape, self._out_shape = matrices.shape[1:], matrices.shape[:1]
         # A symmetrized operator's packed (p, n(n+1)/2) stack, the indices
-        # that gather its input and scatter its adjoint, and the adjoint's
+        # that gather its input and its n-by-n adjoint, and the adjoint's
         # weights; see symmetrized.
         self._packed = self._upper = None
         self._weights = self._unpack = None
@@ -110,7 +114,7 @@ class LinearOperator:
             # product with the upper triangle of M + M^T: there M_jk + M_kj
             # is 2 M_jk, and the doubling and the halving are exact.
             out = self._packed.dot(M.reshape(-1).take(self._upper))
-        out *= self.scale
+        out *= self._scale
         return out
 
     def apply_batch(self, Ms):
@@ -130,14 +134,14 @@ class LinearOperator:
             raise ValueError("adjoint argument must be a length-%d vector" % self.p)
         if self._packed is None:
             w = v.dot(self._rows)
-            w *= self.scale
+            w *= self._scale
             return w.reshape(self._in_shape)
         # sum_i v_i S_i: its upper triangle is the packed product, halved
         # off the diagonal, and both triangles read the same entries.  The
         # weights are formed once, by symmetrized.
         w = v.dot(self._packed)
         w *= self._weights
-        return w[self._unpack].reshape(self._in_shape)
+        return w.take(self._unpack)
 
     def with_scale(self, scale):
         """Copy at another scale; a symmetrized operator is symmetrized anew."""
@@ -175,7 +179,7 @@ class LinearOperator:
         out._weights = np.where(diag, out.scale, 0.5 * out.scale)
         unpack = np.empty((n, n), dtype=np.intp)
         unpack[j, k] = unpack[k, j] = np.arange(len(j))
-        out._unpack = unpack.reshape(-1)
+        out._unpack = unpack
         return out
 
 

@@ -141,6 +141,16 @@ MUTANTS = [
      'side = self.n + self.m if self.kind == "asym-linear" else self.n',
      "side = self.n",
      "tests/test_cli.py::test_config_refuses_dense_truth_and_lift"),
+    ("src/ripgd/factored.py",
+     "_check_dense(side * side)",
+     "_check_dense(side * side - 1)",
+     "tests/test_factored.py::"
+     "test_lifted_loss_refuses_a_dense_lift_before_building"),
+    ("src/ripgd/factored.py",
+     "_check_dense((n + m) ** 2)",
+     "_check_dense((n + m) ** 2 - 1)",
+     "tests/test_factored.py::"
+     "test_balance_and_augment_refuses_a_dense_lift_before_building"),
     ("src/ripgd/certify.py",
      "_check_dense(n * r * n * n)",
      "_check_dense(0)",
@@ -238,20 +248,20 @@ MUTANTS = [
      "out = np.full((r, n, n, n), -0.0)",
      "tests/test_factored.py::test_basis_images_same_bits_as_loop"),
     ("src/ripgd/factored.py",
-     "B += P",
-     "B -= P",
+     "B += self._half_g.take(self._pad)",
+     "B -= self._half_g.take(self._pad)",
      "tests/test_factored.py::test_lifted_loss_single_inner_evaluation"),
     ("src/ripgd/factored.py",
      "self._pad[k:, :k] = top, top.T",
      "self._pad[k:, :k] = top, top.reshape(inner.m, k)",
      "tests/test_factored.py::test_lifted_loss_single_inner_evaluation"),
     ("src/ripgd/factored.py",
-     "_NEG_ZERO = np.array([-0.0])",
-     "_NEG_ZERO = np.array([0.0])",
+     "self._half_g = np.full(k * inner.m + 1, -0.0)",
+     "self._half_g = np.full(k * inner.m + 1, 0.0)",
      "tests/test_factored.py::test_lifted_loss_keeps_signed_zeros"),
     ("src/ripgd/factored.py",
-     "val = v12 + 0.5 * np.vdot(M, B)",
-     "val = 0.5 * v12 + 0.5 * np.vdot(M, B)",
+     "val = v12 + 0.5 * float(np.vdot(M, B))",
+     "val = 0.5 * v12 + 0.5 * float(np.vdot(M, B))",
      "tests/test_factored.py::test_lifted_loss_single_inner_evaluation"),
     ("src/ripgd/factored.py",
      "quad + 0.5 * self.phi",
@@ -266,8 +276,8 @@ MUTANTS = [
      "self.symmetric_grad = True",
      "tests/test_factored.py::test_symmetric_grad_declaration_keeps_the_bits"),
     ("src/ripgd/solver.py",
-     "np.subtract(N, m_star, out=N)",
-     "np.subtract(N, m_star, out=m_star)",
+     "N -= m_star",
+     "N = np.subtract(N, m_star, out=m_star)",
      "tests/test_solver.py::test_in_place_distance_keeps_truth_and_start"),
     # The 1-bit step: one shape check, temporaries reused in place, the
     # step scaled in place in a gradient no saved state holds.
@@ -292,6 +302,30 @@ MUTANTS = [
      "X = X + _ball_noise(rng, X.shape, params.w)",
      "X += _ball_noise(rng, X.shape, params.w)",
      "tests/test_solver.py::test_perturbed_gd_matches_reference_loop"),
+    # Scalar operands as float64 0-d arrays, and the lift's scratch buffer.
+    ("src/ripgd/losses.py",
+     "self._scale = np.array(self.scale)\n        # (p, n*m) view",
+     "self._scale = np.array(self.scale, dtype=np.float32)\n"
+     "        # (p, n*m) view",
+     "tests/test_losses.py::test_operator_scale_operand_same_bytes"),
+    ("src/ripgd/factored.py",
+     "_TWO = np.array(2.0)",
+     "_TWO = np.array(np.nextafter(2.0, 3.0))",
+     "tests/test_factored.py::"
+     "test_g_value_and_grad_same_bytes_as_python_float_doubling"),
+    ("src/ripgd/factored.py",
+     "_HALF = np.array(0.5)",
+     "_HALF = np.array(np.nextafter(0.5, 1.0))",
+     "tests/test_factored.py::"
+     "test_lifted_value_and_grad_same_bytes_as_old_expressions"),
+    ("src/ripgd/factored.py",
+     "self._scale = np.array(self.scale)",
+     "self._scale = np.array(self.scale, dtype=np.float32)",
+     "tests/test_factored.py::test_lifted_grad_same_bytes_as_old_expressions"),
+    ("src/ripgd/factored.py",
+     "B = self._half_phi_sign * M\n",
+     "B = np.multiply(self._half_phi_sign, M, out=self._sign)\n",
+     "tests/test_factored.py::test_lifted_gradient_does_not_alias_the_loss"),
     # The packed symmetric operator.
     ("src/ripgd/losses.py",
      "out = self._packed.dot(",

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ripgd import losses
 from ripgd.losses import (
     LinearOperator,
     LinearLoss,
@@ -455,6 +456,167 @@ def test_lifted_hess_gram_single_inner_gram():
                 assert counted.calls == 1
                 want = two_gram_lift(LiftedLoss(inner, 0.3), N, dirs)
                 assert G.tobytes() == want.tobytes()
+
+
+class FixedGradLoss(MatrixLoss):
+    """Inner loss that returns a given value and a copy of a given gradient,
+    so the lift can be fed -0.0 entries that no real loss returns."""
+
+    def __init__(self, value, grad):
+        self.v, self.g = value, grad
+        self.n, self.m = grad.shape
+
+    def value_and_grad(self, M):
+        return self.v, self.g.copy()
+
+    def grad(self, M):
+        return self.g.copy()
+
+
+def concatenate_pad_halve_lift(lifted, M):
+    """The lift's value and gradient as the old expressions formed them:
+    the balancing value summed as a float64 scalar, the padded matrix
+    gathered from a concatenated copy of the inner gradient and halved in
+    full, and Python float operands."""
+    k = lifted.split
+    v12, g12 = lifted.inner.value_and_grad(M[:k, k:])
+    B = lifted._half_phi_sign * M
+    val = v12 + 0.5 * np.vdot(M, B)
+    P = np.concatenate((g12.reshape(-1), np.array([-0.0]))).take(lifted._pad)
+    P *= 0.5
+    B += P
+    B *= lifted.scale
+    return lifted.scale * float(val), B
+
+
+def signed_zero_lifts(rng):
+    """Lifts at fig1b's shapes and smaller, and symmetric points on which to
+    evaluate them, with -0.0 and +0.0 in M and in the inner gradient."""
+    g = rng.standard_normal((10, 8))
+    g[::2, ::3] = -0.0
+    g[1::4, 1::2] = 0.0
+    inners = (
+        LinearLoss(make_gaussian_operator(10, 8, 220, seed=9),
+                   rng.standard_normal(220)),
+        make_onebit_loss(rng.standard_normal((3, 3))),
+        FixedGradLoss(1.25, g),
+    )
+    for inner in inners:
+        for delta in (0.0, 0.2, 0.37):
+            lifted = LiftedLoss(inner, delta)
+            X = rng.standard_normal((lifted.n, 3))
+            N = X.dot(X.T)
+            Z = N.copy()
+            for i, j, zero in ((0, 0, -0.0), (1, lifted.n - 1, -0.0),
+                               (2, 2, 0.0), (lifted.n - 1, 0, 0.0)):
+                Z[i, j] = Z[j, i] = zero
+            yield lifted, (N, Z, np.full_like(N, -0.0))
+
+
+def test_lifted_value_and_grad_same_bytes_as_old_expressions():
+    # value_and_grad halves only the k*m inner entries, into a buffer
+    # whose last entry stays -0.0, gathers once and scales by a 0-d array;
+    # its value adds Python floats.  Same bytes as the old expressions.
+    for lifted, points in signed_zero_lifts(np.random.default_rng(31)):
+        for M in points:
+            want_v, want_g = concatenate_pad_halve_lift(lifted, M)
+            v, g = lifted.value_and_grad(M)
+            assert type(v) is float and v.hex() == want_v.hex()
+            assert g.tobytes() == want_g.tobytes()
+
+
+def test_lifted_grad_same_bytes_as_old_expressions():
+    # grad, the path estimate_rho1 takes, shares _gradient with
+    # value_and_grad and gives the old expressions' bytes.
+    for lifted, points in signed_zero_lifts(np.random.default_rng(32)):
+        for M in points:
+            want = concatenate_pad_halve_lift(lifted, M)[1]
+            assert lifted.grad(M).tobytes() == want.tobytes()
+
+
+def test_lifted_gradient_does_not_alias_the_loss():
+    # The scratch buffer never escapes: a gradient held across later
+    # evaluations keeps its bytes and shares memory with no array the
+    # loss keeps.
+    rng = np.random.default_rng(33)
+    lifted = LiftedLoss(LinearLoss(make_gaussian_operator(10, 8, 220, seed=9),
+                                   rng.standard_normal(220)), 0.2)
+    X, Y = rng.standard_normal((2, lifted.n, 5))
+    N1, N2 = X.dot(X.T), Y.dot(Y.T)
+    held = [lifted.value_and_grad(N1)[1], lifted.grad(N1)]
+    copies = [g.copy() for g in held]
+    lifted.value_and_grad(N2)
+    lifted.grad(N2)
+    kept = [a for a in vars(lifted).values() if isinstance(a, np.ndarray)]
+    assert any(a is lifted._half_g for a in kept)
+    for g, copy in zip(held, copies):
+        assert g.tobytes() == copy.tobytes()
+        assert not any(np.shares_memory(g, a) for a in kept)
+
+
+def test_g_value_and_grad_same_bytes_as_python_float_doubling():
+    # _factor_grad doubles by a 0-d 2.0: the bytes of the Python float
+    # operand, on drawn and packed linear, 1-bit and lifted losses.
+    rng = np.random.default_rng(34)
+    op = make_gaussian_operator(6, 6, 40, seed=3)
+    y = rng.uniform(0.05, 0.95, (6, 6))
+    cases = [
+        LinearLoss(op, rng.standard_normal(40)),
+        LinearLoss(op.with_scale(0.37).symmetrized(), rng.standard_normal(40)),
+        OneBitLoss(y, scale=6.0),
+        OneBitLoss(0.5 * (y + y.T), scale=6.0),
+        LiftedLoss(LinearLoss(make_gaussian_operator(4, 2, 20, seed=5),
+                              rng.standard_normal(20)), 0.3),
+    ]
+    assert [c.symmetric_grad for c in cases] == [False, True, False, True,
+                                                 True]
+    for loss in cases:
+        for r in (1, 3):
+            X = rng.standard_normal((loss.n, r))
+            X[0] = -0.0
+            N = X.dot(X.T)
+            want_v, W = loss.value_and_grad(N)
+            if loss.symmetric_grad:
+                G = W.dot(X)
+                G *= 2.0
+            else:
+                G = (W + W.T).dot(X)
+            v, got_g, got_n = g_value_and_grad(loss, X)
+            assert v.hex() == want_v.hex()
+            assert got_g.tobytes() == G.tobytes()
+            assert got_n.tobytes() == N.tobytes()
+            assert g_grad(loss, X).tobytes() == G.tobytes()
+
+
+class ShapeOnlyLoss:
+    """Stub inner loss: the shape and the Hessian flag, nothing to evaluate."""
+
+    constant_hessian = True
+
+    def __init__(self, n, m):
+        self.n, self.m = n, m
+
+
+def test_lifted_loss_refuses_a_dense_lift_before_building(
+        monkeypatch, refused_before_allocation):
+    # The lift builds (n+m)-square arrays, 1.28 MB each at n+m = 400: the
+    # boundary is built, one entry over the limit allocates nothing.
+    monkeypatch.setattr(losses, "DENSE_LIMIT", 400 * 400)
+    lifted = LiftedLoss(ShapeOnlyLoss(250, 150), 0.2)
+    assert lifted._pad.shape == (400, 400)
+    monkeypatch.setattr(losses, "DENSE_LIMIT", 400 * 400 - 1)
+    refused_before_allocation(LiftedLoss, ShapeOnlyLoss(250, 150), 0.2)
+
+
+def test_balance_and_augment_refuses_a_dense_lift_before_building(
+        monkeypatch, refused_before_allocation):
+    # The lifted truth is (n+m)-square; m_star is refused before its SVD.
+    rng = np.random.default_rng(35)
+    m_star = np.outer(rng.standard_normal(250), rng.standard_normal(150))
+    monkeypatch.setattr(losses, "DENSE_LIMIT", 400 * 400)
+    assert balance_and_augment(m_star, 1)[2].shape == (400, 400)
+    monkeypatch.setattr(losses, "DENSE_LIMIT", 400 * 400 - 1)
+    refused_before_allocation(balance_and_augment, m_star, 1)
 
 
 # Prints the lifted value and gradient bits at fig1b's shapes: a 10x8 inner

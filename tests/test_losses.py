@@ -232,6 +232,53 @@ def test_packed_with_scale_adjoint_same_bits_as_fresh_operator():
             assert scaled.apply(M).tobytes() == fresh.apply(M).tobytes()
 
 
+def python_float_apply(op, M):
+    """apply as written with the scale as a Python float operand."""
+    if op._packed is None:
+        out = op._rows.dot(M.reshape(-1))
+    else:
+        out = op._packed.dot(M.reshape(-1).take(op._upper))
+    out *= op.scale
+    return out
+
+
+def python_float_adjoint(op, v):
+    """adjoint as written with the scale as a Python float operand and the
+    packed unpacking as a flat fancy index."""
+    if op._packed is None:
+        w = v.dot(op._rows)
+        w *= op.scale
+        return w.reshape(op.n, op.m)
+    w = v.dot(op._packed)
+    w *= op._weights
+    return w[op._unpack.reshape(-1)].reshape(op.n, op.n)
+
+
+def test_operator_scale_operand_same_bytes():
+    # apply and adjoint scale by a float64 0-d array made once, and the
+    # packed adjoint unpacks with one take: the same bytes as the Python
+    # float operand and the flat fancy index, signed zeros included.
+    rng = np.random.default_rng(30)
+    for n, m, p in ((1, 1, 3), (4, 4, 9), (10, 8, 220), (40, 40, 120)):
+        for scale in (1e-4, 0.37, 1.0, 1e3):
+            op = make_gaussian_operator(n, m, p, seed=n).with_scale(scale)
+            ops = (op,) if n != m else (op, op.symmetrized())
+            X = rng.standard_normal((n, 2))
+            Y = rng.standard_normal((m, 2))
+            v = rng.standard_normal(p)
+            v[::3] = -0.0
+            for o in ops:
+                M = X.dot(X.T) if o._packed is not None else X.dot(Y.T)
+                M[0, 0] = -0.0
+                for arg in (M, np.full_like(M, -0.0)):
+                    got = o.apply(arg)
+                    assert got.tobytes() == python_float_apply(
+                        o, arg).tobytes()
+                for w in (v, np.full(p, -0.0), got):
+                    assert o.adjoint(w).tobytes() == python_float_adjoint(
+                        o, w).tobytes()
+
+
 def test_check_dense_boundary():
     _check_dense(DENSE_LIMIT)
     with pytest.raises(ValueError, match="dense limit"):
